@@ -448,9 +448,8 @@ Coordinator::pumpRepair(u32 budget, FleetCounters &counters)
             haveLastKey_ = false;
             continue;
         }
-        // kvScan is the layout-agnostic ascending-key cursor (ordered
-        // map or dense array on the server side); the resume-from-
-        // lastKey_ semantics are exactly the old upper_bound walk.
+        // kvScan is the server's ascending-key cursor: it resumes at
+        // the smallest key above lastKey_.
         u64 key = 0, version = 0, value = 0;
         if (!src.kvScan(haveLastKey_, lastKey_, key, version, value)) {
             ++scanServer_;
@@ -482,7 +481,7 @@ Coordinator::pumpRepair(u32 budget, FleetCounters &counters)
 void
 Coordinator::drainRepairs(FleetCounters &counters)
 {
-    // Bounded: each full scan visits every readable server's map once,
+    // Bounded: each full scan visits every readable server's store once,
     // and draining runs at most one restart per preceding topology
     // change (evictions cannot happen here).
     while (repairing())

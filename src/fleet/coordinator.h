@@ -113,8 +113,8 @@ class Coordinator
      * set is returned until the next ring change invalidates it
      * (epoch stamp), so the per-request ring walk leaves the serving
      * hot path. Pure memoization — results are identical with the
-     * cache on or off; the Direct-transport baseline leaves it off to
-     * stay an honest PR-6 measurement.
+     * cache on or off. FleetCampaign always enables it; an uncached
+     * coordinator is the exact reference the cache is checked against.
      */
     void enablePlacementCache(u64 keySpace);
 

@@ -33,7 +33,6 @@
 #ifndef CITADEL_FLEET_FLEET_SIM_H
 #define CITADEL_FLEET_FLEET_SIM_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,12 +78,10 @@ struct FleetConfig
     u64 responseDelay = 1;
 
     /**
-     * How requests and responses travel. Loopback (default) and
-     * Socket run the framed wire path with batching, flat client/
-     * server state engines and the coordinator's placement cache;
-     * Direct is the per-request PR-6 handoff kept as the measured
-     * unbatched baseline. All three produce the same fingerprint on
-     * the same config — the load driver's grid enforces it.
+     * How the request and response frames travel: Loopback (default)
+     * through in-process byte streams, Socket through real AF_UNIX
+     * socketpairs. Both produce the same fingerprint on the same
+     * config, at any batch size — the load driver's grid enforces it.
      */
     TransportMode transport = TransportMode::Loopback;
 
@@ -216,12 +213,9 @@ class FleetCampaign
     void collectOutboxes(u64 tick) CITADEL_REQUIRES(kSerialPhase);
     void sendToServer(const Request &r, ServerIdx s)
         CITADEL_REQUIRES(kSerialPhase);
-    void deliverRequest(const Request &r, ServerIdx s, u64 tick)
-        CITADEL_REQUIRES(kSerialPhase);
     void flushShards(u64 tick) CITADEL_REQUIRES(kSerialPhase);
     void pushResponse(u64 due, const Response &r)
         CITADEL_REQUIRES(kSerialPhase);
-    std::size_t pendingCount() const CITADEL_REQUIRES(kSerialPhase);
     FleetResult audit(FleetCounters totals)
         CITADEL_REQUIRES(kSerialPhase);
 
@@ -233,33 +227,29 @@ class FleetCampaign
      *  guard (same config + seed + scripted events => same hash). */
     u64 scheduleHash() const;
 
-    bool wire() const { return cfg_.transport != TransportMode::Direct; }
+    static FleetConfig normalized(const FleetConfig &cfg,
+                                  const TrafficModel &traffic);
 
-    static FleetConfig normalized(const FleetConfig &cfg);
-
+    TrafficModel traffic_; ///< Active iff cfg_.traffic is non-empty.
     FleetConfig cfg_;
     FleetFaultInjector injector_;
     std::vector<std::unique_ptr<StackServer>> fleet_;
     std::unique_ptr<Coordinator> coordinator_;
     FleetClient client_;
-    TrafficModel traffic_; ///< Active iff cfg_.traffic is non-empty.
     std::unique_ptr<ThreadPool> pool_; ///< Lives across advanceTo calls.
 
     u64 tick_ = 0;
     u64 nextOp_ = 0; ///< Trace-mode dense operation-id counter.
     std::size_t nextEvent_ = 0;
-    /** Direct mode in-flight responses: delivery tick -> response,
-     *  FIFO per tick. */
-    std::multimap<u64, Response> pending_;
 
-    // Wire-path state (Loopback/Socket transports only): the framed
-    // batching pipeline and its allocation-free delivery structures.
+    // The framed batching pipeline and its allocation-free delivery
+    // structures.
     std::unique_ptr<Transport> transport_;
-    std::unique_ptr<SubmissionShards> shards_;
+    SubmissionShards shards_;
     FrameWriter reqWriter_;
     FrameWriter respWriter_;
-    /** Response timing wheel: bucket (due & mask), FIFO per bucket —
-     *  the multimap's (tick, insertion-order) delivery, flat. */
+    /** In-flight responses: bucket (due & mask), FIFO per bucket, so
+     *  delivery is in (tick, insertion) order. */
     std::vector<std::vector<Response>> respWheel_;
     u64 respWheelMask_ = 0;
     std::size_t respWheelCount_ = 0;
@@ -268,7 +258,8 @@ class FleetCampaign
     std::vector<std::vector<u32>> seqScratch_;
     /** Queue-full Busy synths collected during a flush, sorted by
      *  submission sequence before entering the wheel so the client
-     *  sees them in Direct's exact per-request order. */
+     *  sees them in the order the requests were sent, not grouped by
+     *  server. */
     std::vector<std::pair<u32, Response>> busyScratch_;
 
     FleetCounters loopCounters_; ///< Chaos + network accounting.

@@ -26,7 +26,6 @@
 #ifndef CITADEL_FLEET_STACK_SERVER_H
 #define CITADEL_FLEET_STACK_SERVER_H
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -73,10 +72,10 @@ struct ServerConfig
     /** Service units per tick when calibration is off. */
     u32 defaultServiceUnits = 16;
 
-    /** KV store sizing: 0 keeps the ordered-map store (any u64 key);
-     *  > 0 switches to dense per-key arrays over [0, keySpace) — the
-     *  serving hot path the wire transports run on. A key outside the
-     *  declared space is fatal, never silently dropped. */
+    /** KV store sizing: dense per-key arrays over [0, keySpace). A
+     *  StackServer needs it positive (FleetCampaign copies
+     *  FleetConfig::keySpace in); a key outside the declared space is
+     *  fatal, never silently dropped. */
     u64 keySpace = 0;
 
     void validate() const;
@@ -191,11 +190,10 @@ class StackServer
     }
 
     /**
-     * Resumable ascending-key scan over the KV store — the uniform
-     * cursor the coordinator's repair pump walks under either store
-     * layout. With have=false, yields the smallest key; with
-     * have=true, the smallest key > `from`. Returns false when the
-     * scan is exhausted.
+     * Resumable ascending-key scan over the KV store — the cursor the
+     * coordinator's repair pump walks. With have=false, yields the
+     * smallest key; with have=true, the smallest key > `from`.
+     * Returns false when the scan is exhausted.
      */
     bool kvScan(bool have, u64 from, u64 &key, u64 &version,
                 u64 &value) const CITADEL_REQUIRES(kSerialPhase);
@@ -280,12 +278,9 @@ class StackServer
     u32 inboxCount_ = 0;
     std::vector<Response> outbox_;
 
-    // KV store, one of two layouts (ServerConfig::keySpace): the
-    // ordered map accepts any u64 key; the dense arrays trade that for
-    // O(1) allocation-free lookups. kvCount_/ascending iteration are
-    // identical under both, so fingerprints don't see the layout.
-    std::map<u64, std::pair<u64, u64>> kv_; ///< key -> (version, value).
-    std::vector<std::pair<u64, u64>> kvFlat_; ///< version 0 = absent.
+    // KV store: dense (version, value) per key over
+    // [0, ServerConfig::keySpace), O(1) and allocation-free.
+    std::vector<std::pair<u64, u64>> kv_; ///< version 0 = absent.
     u64 kvCount_ = 0;
     ServerStats stats_;
     u32 warmCrc_ = 0; ///< Running warm-stream record CRC (handshake).

@@ -589,10 +589,10 @@ TEST(FleetDeterminism, DifferentSeedsDiverge)
 
 TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
 {
-    // The wire path (framed batching, flat state engines, response
-    // wheel) must be a pure transport change: Direct, loopback, and
-    // real socketpairs, at any batch size and thread count, land on
-    // the same campaign down to the fingerprint.
+    // Transport, batch size and thread count are pure speed knobs:
+    // loopback and real socketpairs, unbatched (b=1) or batched, on
+    // one or three workers, land on the same campaign down to the
+    // fingerprint. Every axis has two values across the cells.
     struct Cell
     {
         TransportMode mode;
@@ -600,7 +600,6 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
         unsigned threads;
     };
     const Cell cells[] = {
-        {TransportMode::Direct, 1, 1},
         {TransportMode::Loopback, 1, 1},
         {TransportMode::Loopback, 5, 3},
         {TransportMode::Socket, 5, 1},
@@ -638,23 +637,27 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
 TEST(FleetDeterminism, TraceReplayIsTransportInvariant)
 {
     // A bursty, zipf-skewed trace drives the same offered load over
-    // every transport; the trace also overrides the configured tick
-    // count with its own total length.
+    // every transport and batch size; the trace also overrides the
+    // configured tick count with its own total length.
     FleetConfig base = smallConfig();
     base.ticks = 1; // Overridden by the trace (96 + 64 ticks).
     base.traffic = "ticks=96,rate=3,write=0.5,zipf=0.8;"
                    "ticks=64,rate=5,burst=3,every=16,len=4";
+    const std::pair<TransportMode, u32> cells[] = {
+        {TransportMode::Loopback, 1},
+        {TransportMode::Loopback, 7},
+        {TransportMode::Socket, 7},
+    };
     FleetResult ref;
     bool haveRef = false;
-    for (const TransportMode mode :
-         {TransportMode::Direct, TransportMode::Loopback,
-          TransportMode::Socket}) {
+    for (const auto &[mode, batch] : cells) {
         FleetConfig cfg = base;
         cfg.transport = mode;
-        cfg.batch = mode == TransportMode::Direct ? 1 : 7;
+        cfg.batch = batch;
         FleetCampaign campaign(cfg);
         const FleetResult res = campaign.run();
-        SCOPED_TRACE(transportModeName(mode));
+        SCOPED_TRACE(std::string(transportModeName(mode)) + " b" +
+                     std::to_string(batch));
         if (!haveRef) {
             ref = res;
             haveRef = true;
@@ -690,7 +693,8 @@ TEST(FleetDeterminism, LatencyPercentilesAreSaneAndReported)
 // slowdown while its window is open and the full rate after it ends.
 TEST(StackServerChaos, StallOverSlowdownRestoresServiceRate)
 {
-    const ServerConfig scfg = smallConfig().server; // 24 units/tick.
+    ServerConfig scfg = smallConfig().server; // 24 units/tick.
+    scfg.keySpace = 64;
     StackServer srv(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
 
     u64 next_op = 1;
@@ -740,6 +744,27 @@ TEST(StackServerChaos, StallOverSlowdownRestoresServiceRate)
         ThreadRoleGrant serial(kSerialPhase);
         EXPECT_GT(srv.outbox().size(), 6u);
     }
+}
+
+// ---- StackServer key-space guards ----------------------------------
+
+TEST(StackServerDeath, ZeroKeySpaceIsRejected)
+{
+    const ServerConfig scfg = smallConfig().server; // keySpace 0.
+    EXPECT_DEATH(StackServer(0, scfg, /*seed=*/1, /*campaign_ticks=*/64),
+                 "keySpace must be >= 1");
+}
+
+TEST(StackServerDeath, StoreOutsideKeySpaceIsFatal)
+{
+    ServerConfig scfg = smallConfig().server;
+    scfg.keySpace = 64;
+    StackServer srv(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
+    ThreadRoleGrant serial(kSerialPhase);
+    srv.applyReplica(63, 1, 7); // The last key in the space is fine.
+    EXPECT_EQ(srv.lookup(63), (std::pair<u64, u64>{1, 7}));
+    EXPECT_DEATH(srv.applyReplica(64, 1, 7),
+                 "outside the declared key space");
 }
 
 } // namespace

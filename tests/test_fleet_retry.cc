@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fleet/client.h"
@@ -76,6 +77,10 @@ TEST(RetryPolicy, HugeAttemptOrdinalDoesNotOverflow)
 
 // ---- Scripted client harness ---------------------------------------
 
+/** Client sizing of every harness: live op ids may span 16, keys are
+ *  in [0, 64). */
+constexpr ClientTuning kTuning{16, 64};
+
 /** Captures every request the client emits, with placement scripted
  *  by the test. */
 struct Harness
@@ -86,7 +91,7 @@ struct Harness
 
     explicit Harness(const RetryPolicy &p, u32 replication = 2,
                      u32 quorum = 2)
-        : client(p, replication, quorum, /*valueSalt=*/77)
+        : client(p, replication, quorum, /*valueSalt=*/77, kTuning)
     {
         client.connect(
             [this](u64, std::vector<ServerIdx> &out) {
@@ -235,8 +240,12 @@ TEST(FleetClient, WriteFansOutAndAcksAtQuorum)
     h.client.onResponse(h.okFor(1), 3);
     EXPECT_EQ(h.client.inflight(), 0u);
     EXPECT_EQ(h.client.counters().writesAcked, 1u);
-    ASSERT_EQ(h.client.ackedWrites().count(50), 1u);
-    EXPECT_EQ(h.client.ackedWrites().at(50).version, 1u);
+    std::vector<std::pair<u64, u64>> acked;
+    h.client.forEachAcked(
+        [&](u64 key, const FleetClient::AckedWrite &aw) {
+            acked.emplace_back(key, aw.version);
+        });
+    EXPECT_EQ(acked, (std::vector<std::pair<u64, u64>>{{50, 1}}));
 }
 
 TEST(FleetClient, WriteRefanoutSkipsAckedReplicas)
@@ -319,6 +328,105 @@ TEST(FleetClient, FinishCountsUnresolved)
     h.client.finish();
     EXPECT_EQ(h.client.counters().opsUnresolved, 2u);
     EXPECT_EQ(h.client.inflight(), 0u);
+}
+
+// ---- Sizing guards -------------------------------------------------
+
+TEST(FleetClientDeath, OpIdSpanBeyondWindowIsFatal)
+{
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    h.client.startRead(1, 50, 0);
+    // Op 1 is still live; op 1 + 16 needs its slot.
+    EXPECT_DEATH(h.client.startRead(1 + kTuning.opWindow, 50, 0),
+                 "exceeds the op window");
+}
+
+TEST(FleetClientDeath, WriteOutsideKeySpaceIsFatal)
+{
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    EXPECT_DEATH(h.client.startWrite(1, kTuning.keySpace, 0),
+                 "outside the key space");
+}
+
+TEST(FleetClientDeath, WakeupPastWheelHorizonIsFatal)
+{
+    // tick() never ran, so the wheel still starts at tick 0: an op
+    // started far later breaks the contract that every earlier tick
+    // was drained, and its deadline wakeup would alias a bucket.
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    EXPECT_DEATH(h.client.startRead(1, 50, /*now=*/100'000),
+                 "exceeds the wheel horizon");
+}
+
+// ---- Checkpoint integrity ------------------------------------------
+
+/** The LE bytes ByteSink writes for `v`. */
+std::vector<u8>
+u64Bytes(u64 v)
+{
+    ByteSink sink;
+    sink.putU64(v);
+    return sink.bytes();
+}
+
+/** Overwrite the first occurrence of `from`'s encoding with `to`'s. */
+void
+rewriteFirstU64(std::vector<u8> &bytes, u64 from, u64 to)
+{
+    const std::vector<u8> pat = u64Bytes(from);
+    const auto at =
+        std::search(bytes.begin(), bytes.end(), pat.begin(), pat.end());
+    ASSERT_NE(at, bytes.end());
+    const std::vector<u8> rep = u64Bytes(to);
+    std::copy(rep.begin(), rep.end(), at);
+}
+
+TEST(FleetClientCheckpointDeath, AliasedLiveOpsAreRejected)
+{
+    Harness a(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    const u64 first = 0x5A5A01;
+    const u64 second = 0x5A5A02;
+    a.client.startRead(first, 50, 0);
+    a.client.startRead(second, 51, 0);
+    ByteSink sink;
+    a.client.saveState(sink);
+
+    // The live-op list precedes the wheel, so the first occurrence of
+    // the second id is its op record. Rewritten to first + window, it
+    // lands on the first op's slot.
+    std::vector<u8> bytes = sink.bytes();
+    rewriteFirstU64(bytes, second, first + kTuning.opWindow);
+    Harness b(testPolicy());
+    ByteSource src(bytes);
+    EXPECT_DEATH(b.client.loadState(src), "alias one slot");
+}
+
+TEST(FleetClientCheckpointDeath, AckedCountMismatchIsRejected)
+{
+    Harness a(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    a.client.startWrite(1, 50, 0);
+    a.client.onResponse(a.okFor(0), 1);
+    a.client.onResponse(a.okFor(1), 1);
+    ASSERT_EQ(a.client.ackedCount(), 1u);
+    ByteSink sink;
+    a.client.saveState(sink);
+
+    // ackedCount directly follows the serialized counters.
+    ByteSink counters;
+    a.client.counters().serialize(counters);
+    std::vector<u8> bytes = sink.bytes();
+    const std::vector<u8> two = u64Bytes(2);
+    std::copy(two.begin(), two.end(),
+              bytes.begin() +
+                  static_cast<std::ptrdiff_t>(counters.bytes().size()));
+    Harness b(testPolicy());
+    ByteSource src(bytes);
+    EXPECT_DEATH(b.client.loadState(src), "acked count");
 }
 
 } // namespace
