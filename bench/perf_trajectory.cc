@@ -15,9 +15,8 @@
  *  4. Dispatched kernels (schema v4): the SIMD xorFold/xorFoldN paths
  *     and the hardware CRC path vs their scalar proofs, at an
  *     L1-resident size (where the kernel dominates) and a streaming
- *     size (where DRAM bandwidth does), plus batched vs unbatched
- *     trial execution in Ktrials/s. Every variant is byte-compared
- *     against its scalar oracle before being timed.
+ *     size (where DRAM bandwidth does). Every variant is
+ *     byte-compared against its scalar oracle before being timed.
  *  5. Timing simulator: cycles simulated/s under cycle vs event
  *     stepping (low-MPKI and high-MPKI profiles), and suite wall time
  *     serial (runSuite) vs parallel (runSuiteParallel). Every pair
@@ -65,7 +64,6 @@
 #include "common/thread_pool.h"
 #include "common/xor_fold.h"
 #include "ecc/crc32.h"
-#include "faults/fault_arena.h"
 
 using namespace citadel;
 using namespace citadel::bench;
@@ -250,7 +248,7 @@ main()
     fold_table.print(std::cout);
     std::cout << "\n";
 
-    // ---- 4. Dispatched kernels: SIMD fold + hw CRC + batching ------
+    // ---- 4. Dispatched kernels: SIMD fold + hw CRC -----------------
     // L1-resident buffers isolate the kernel (the streaming numbers
     // above are DRAM-bandwidth-bound, where every fold implementation
     // converges); each dispatched variant is byte-compared against
@@ -372,61 +370,6 @@ main()
     kern_table.print(std::cout);
     std::cout << "kernel outputs bit-identical to scalar proofs: "
               << (kernels_identical ? "yes" : "NO — BUG") << "\n\n";
-
-    // Batched (FaultArena two-phase) vs unbatched (legacy per-trial
-    // sample+execute) trial throughput, in Ktrials/s, timed
-    // back-to-back so both run with warm caches (section 1's serial
-    // number is a cold first run and would bias this comparison). The
-    // unbatched loop replays the exact legacy control flow, so its
-    // failure count doubles as an end-to-end batching-equivalence
-    // check against the batched rerun.
-    const u64 kSeedMix = 0xA24BAED4963EE407ull;
-    FaultInjector inj(cfg);
-    auto scheme_ub = makeCitadel();
-    std::vector<Fault> ub_events;
-    std::vector<Fault> ub_active;
-    u64 ub_failures = 0;
-    double unbatched_s = 1e300;
-    double batched_s = 1e300;
-    McResult batched_rerun;
-    // Best of two reps per variant: a single rep on a shared runner is
-    // scheduler-noise-dominated at these (tens of ms) durations.
-    for (int rep = 0; rep < 2; ++rep) {
-        ub_failures = 0;
-        t0 = std::chrono::steady_clock::now();
-        for (u64 t = 0; t < n; ++t) {
-            Rng trial_rng(7 ^ (kSeedMix * (t + 1)));
-            inj.sampleLifetime(trial_rng, ub_events);
-            FaultClass trig = FaultClass::Bit;
-            if (mc.runTrial(*scheme_ub, ub_events, &trig, ub_active) >=
-                0.0)
-                ++ub_failures;
-        }
-        unbatched_s = std::min(unbatched_s, secondsSince(t0));
-
-        t0 = std::chrono::steady_clock::now();
-        batched_rerun = mc.run(*scheme, n, 7, 1);
-        batched_s = std::min(batched_s, secondsSince(t0));
-    }
-
-    const double unbatched_ktps =
-        static_cast<double>(n) / unbatched_s / 1e3;
-    const double batched_ktps = static_cast<double>(n) / batched_s / 1e3;
-    const bool batch_identical = ub_failures == batched_rerun.failures &&
-                                 identical(batched_rerun, serial);
-    kernels_identical = kernels_identical && batch_identical;
-
-    Table trial_table({"trial execution", "Ktrials/s", "speedup",
-                       "identical"});
-    trial_table.addRow({"unbatched (legacy)",
-                        Table::num(unbatched_ktps, 1), "1.0x", "-"});
-    trial_table.addRow({"batched (FaultArena)",
-                        Table::num(batched_ktps, 1),
-                        Table::num(batched_ktps / unbatched_ktps, 2) +
-                            "x",
-                        batch_identical ? "yes" : "NO — BUG"});
-    trial_table.print(std::cout);
-    std::cout << "\n";
 
     // ---- 5. Timing simulator: stepping + suite parallelism ---------
     const u64 sim_insns = insns(100000);
@@ -653,7 +596,7 @@ main()
         path_env && *path_env ? path_env : "BENCH_mc.json";
     std::ofstream json(path);
     json << "{\n"
-         << "  \"schema\": \"citadel-perf-trajectory-v7\",\n"
+         << "  \"schema\": \"citadel-perf-trajectory-v8\",\n"
          << "  \"trials\": " << n << ",\n"
          << "  \"threads\": " << nthreads << ",\n"
          << "  \"hardware_concurrency\": " << hw_threads << ",\n"
@@ -705,15 +648,7 @@ main()
          << "      \"slice8_stream_mb_per_s\": " << crc_slice8 << ",\n"
          << "      \"hw_stream_mb_per_s\": " << crc_hw_stream << ",\n"
          << "      \"l1_speedup\": " << crc_hw_l1 / crc_slice8_l1
-         << "\n    },\n"
-         << "    \"trial_exec\": {\n"
-         << "      \"batched_ktrials_per_s\": " << batched_ktps << ",\n"
-         << "      \"unbatched_ktrials_per_s\": " << unbatched_ktps
-         << ",\n"
-         << "      \"speedup\": " << batched_ktps / unbatched_ktps
-         << ",\n"
-         << "      \"bit_identical\": "
-         << (batch_identical ? "true" : "false") << "\n    }\n  },\n"
+         << "\n    }\n  },\n"
          << "  \"timing\": {\n"
          << "    \"insns_per_core\": " << sim_insns << ",\n"
          << "    \"stepping\": [\n";

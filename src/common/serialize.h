@@ -10,16 +10,19 @@
  * varints, no endianness surprises, no implementation-defined layout.
  *
  * ByteSource treats every malformed read (truncation, overlong
- * container) as fatal: a checkpoint is either exactly right or useless,
- * and continuing from half-parsed RAS state would silently invalidate
- * the determinism proof the checkpoint exists to provide.
+ * container, out-of-range enum byte) as fatal: a checkpoint is either
+ * exactly right or useless, and continuing from half-parsed RAS state
+ * would silently invalidate the determinism proof the checkpoint
+ * exists to provide.
  */
 
 #ifndef CITADEL_COMMON_SERIALIZE_H
 #define CITADEL_COMMON_SERIALIZE_H
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.h"
@@ -90,6 +93,19 @@ class ByteSource
 
     double getDouble() { return std::bit_cast<double>(getU64()); }
 
+    /** One-byte enum whose last enumerator is `last`; an out-of-range
+     *  byte is fatal, like truncation. */
+    template <typename E>
+        requires std::is_enum_v<E>
+    E getEnum(E last, const char *what)
+    {
+        const u8 v = getU8();
+        if (v > static_cast<u8>(last))
+            fatal("checkpoint: %s byte %u out of range (last %u)", what,
+                  static_cast<unsigned>(v), static_cast<unsigned>(last));
+        return static_cast<E>(v);
+    }
+
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
@@ -120,6 +136,55 @@ class ByteSource
     const std::vector<u8> &bytes_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * A flat counter set: a struct whose members are all u64, so its
+ * declaration alone is the field list. The helpers below view it as
+ * one u64 array in declaration order, which makes a new member flow
+ * through sum, write and read with no hand-kept copy to update. The
+ * constraint rejects padding and floating-point members at compile
+ * time; a narrower integer member would not be caught, which is why
+ * every member must be u64.
+ */
+template <typename T>
+concept U64Fields = std::is_trivially_copyable_v<T> &&
+                    std::has_unique_object_representations_v<T> &&
+                    sizeof(T) % sizeof(u64) == 0;
+
+template <U64Fields T>
+using U64FieldArray = std::array<u64, sizeof(T) / sizeof(u64)>;
+
+/** Field-wise acc += c. */
+template <U64Fields T>
+void
+addU64Fields(T &acc, const T &c)
+{
+    auto sum = std::bit_cast<U64FieldArray<T>>(acc);
+    const auto add = std::bit_cast<U64FieldArray<T>>(c);
+    for (std::size_t i = 0; i < sum.size(); ++i)
+        sum[i] += add[i];
+    acc = std::bit_cast<T>(sum);
+}
+
+/** Every field, in declaration order. */
+template <U64Fields T>
+void
+putU64Fields(ByteSink &sink, const T &c)
+{
+    for (const u64 v : std::bit_cast<U64FieldArray<T>>(c))
+        sink.putU64(v);
+}
+
+/** Exact inverse of putU64Fields(). */
+template <U64Fields T>
+T
+getU64Fields(ByteSource &src)
+{
+    U64FieldArray<T> fields;
+    for (u64 &v : fields)
+        v = src.getU64();
+    return std::bit_cast<T>(fields);
+}
 
 /** FNV-1a 64-bit, the checkpoint/stats fingerprint hash. */
 inline u64

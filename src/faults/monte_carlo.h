@@ -12,11 +12,9 @@
 
 #include <functional>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "common/stats.h"
-#include "faults/fault_arena.h"
 #include "faults/scheme.h"
 
 namespace citadel {
@@ -98,20 +96,6 @@ class MonteCarlo
                     FaultClass *trigger_class,
                     std::vector<Fault> &active_scratch) const;
 
-    /**
-     * Batched-execution core all runTrial overloads funnel into:
-     * events may be a view into a FaultArena pool, and
-     * `arrival_times`, when non-null, is a dense array index-aligned
-     * with `events` (FaultArena::trialTimes) that the scrub-boundary
-     * scan reads instead of pulling each fault's timeHours out of
-     * the fat AoS record. Passing null reads the AoS field; both are
-     * the same values by construction, so results are identical.
-     */
-    double runTrial(RasScheme &scheme, std::span<const Fault> events,
-                    FaultClass *trigger_class,
-                    std::vector<Fault> &active_scratch,
-                    const double *arrival_times = nullptr) const;
-
     const SystemConfig &config() const { return cfg_; }
 
   private:
@@ -125,16 +109,13 @@ class MonteCarlo
     };
 
     /**
-     * Run trials [begin, end) into `shard` in two batched phases:
-     * first sample every lifetime in the range into `arena` (pure
-     * Rng + injector work, no scheme state touched), then execute
-     * the trials against span views into the arena pool. Per-trial
-     * seeding and bookkeeping order are unchanged from the old
-     * one-trial-at-a-time loop, so results are bit-identical for any
-     * batch size (DESIGN.md section 14).
+     * Run trials [begin, end) into `shard`, one at a time: seed the
+     * trial's Rng, sample its lifetime into `events`, execute it.
+     * `events` and `active` are per-worker scratch reused across
+     * trials, so steady state does no heap traffic.
      */
     void runRange(RasScheme &scheme, u64 begin, u64 end, u64 seed,
-                  u32 years, Shard &shard, FaultArena &arena,
+                  u32 years, Shard &shard, std::vector<Fault> &events,
                   std::vector<Fault> &active) const;
 
     SystemConfig cfg_;

@@ -420,7 +420,7 @@ FleetClient::Op
 FleetClient::getOp(ByteSource &src)
 {
     Op op;
-    op.kind = static_cast<OpKind>(src.getU8());
+    op.kind = src.getEnum(OpKind::Write, "OpKind");
     op.key = src.getU64();
     op.version = src.getU64();
     op.value = src.getU64();

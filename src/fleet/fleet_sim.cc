@@ -589,14 +589,16 @@ FleetCampaign::finish()
 
     FleetCounters totals = loopCounters_;
     totals.add(client_.counters());
-    for (u32 s = 0; s < cfg_.servers; ++s) {
-        const ServerStats &st = fleet_[s]->stats();
-        totals.requestsServed += st.served;
-        totals.serviceUnitsSpent += st.unitsSpent;
-        totals.queueRejections += st.rejected;
-        totals.deviceDueReads += st.dueReads;
-        totals.deviceCorrected += st.corrected;
-    }
+    ServerStats st;
+    for (u32 s = 0; s < cfg_.servers; ++s)
+        st.add(fleet_[s]->stats());
+    // The one place server stats map onto differently named fleet
+    // counters.
+    totals.requestsServed += st.served;
+    totals.serviceUnitsSpent += st.unitsSpent;
+    totals.queueRejections += st.rejected;
+    totals.deviceDueReads += st.dueReads;
+    totals.deviceCorrected += st.corrected;
     return audit(totals);
 }
 

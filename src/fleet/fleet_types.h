@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <string>
-#include <type_traits>
 
 #include "common/mutex.h"
 #include "common/serialize.h"
@@ -139,7 +138,10 @@ serverStateServing(ServerState s)
 /**
  * Campaign-wide totals. Summed in deterministic (serial-phase or
  * server-index) order; part of the result fingerprint, so every field
- * is covered by the thread-count-invariance tests.
+ * is covered by the thread-count-invariance tests. Every member is a
+ * u64 (common/serialize.h U64Fields): add/serialize/deserialize cover
+ * the fields in declaration order, which is the append-only
+ * fingerprint and checkpoint order.
  */
 struct FleetCounters
 {
@@ -191,29 +193,15 @@ struct FleetCounters
     u64 deviceDueReads = 0;    ///< onDemandRead verdicts that were DUE.
     u64 deviceCorrected = 0;   ///< onDemandRead verdicts corrected.
 
-    void add(const FleetCounters &c);
-    void serialize(ByteSink &sink) const;
-
-    /** Inverse of serialize(). Relies on serialize() writing the
-     *  fields in declaration order — pinned by the tripwire test. */
-    void deserialize(ByteSource &src);
+    void add(const FleetCounters &c) { addU64Fields(*this, c); }
+    void serialize(ByteSink &sink) const { putU64Fields(sink, *this); }
+    void deserialize(ByteSource &src)
+    {
+        *this = getU64Fields<FleetCounters>(src);
+    }
 
     std::string summary() const;
 };
-
-/**
- * Tripwire for the PR-9-style silent-omission bug class: FleetCounters
- * must stay a flat struct of exactly this many u64 fields, and both
- * add() and serialize() must cover every one of them. The static
- * asserts below catch a field added to the struct; the property test
- * in tests/test_fleet.cc (FleetCountersTripwire) catches one added to
- * the struct but missed in add()/putU64 serialization.
- */
-constexpr std::size_t kFleetCounterFields = 36;
-static_assert(sizeof(FleetCounters) == kFleetCounterFields * sizeof(u64),
-              "FleetCounters changed: update kFleetCounterFields, add(), "
-              "serialize(), and the tripwire test together");
-static_assert(std::is_trivially_copyable_v<FleetCounters>);
 
 // Wire-independent value serialization of requests/responses, used by
 // the warm-fill stream framing and the campaign checkpoint. Field

@@ -408,11 +408,7 @@ void
 StackServer::serialize(ByteSink &sink) const
 {
     sink.putU8(static_cast<u8>(state_));
-    sink.putU64(stats_.served);
-    sink.putU64(stats_.unitsSpent);
-    sink.putU64(stats_.rejected);
-    sink.putU64(stats_.dueReads);
-    sink.putU64(stats_.corrected);
+    stats_.serialize(sink);
     sink.putU64(kvCount_);
     for (u64 key = 0; key < kv_.size(); ++key) {
         if (kv_[key].first == 0)
@@ -436,11 +432,7 @@ StackServer::saveState(ByteSink &sink) const
     sink.putU32(slowDivisor_);
     sink.putU64(lastCycle_);
     sink.putU32(warmCrc_);
-    sink.putU64(stats_.served);
-    sink.putU64(stats_.unitsSpent);
-    sink.putU64(stats_.rejected);
-    sink.putU64(stats_.dueReads);
-    sink.putU64(stats_.corrected);
+    stats_.serialize(sink);
     // Inbox in FIFO order (head/count collapse to a plain sequence).
     sink.putU32(inboxCount_);
     for (u32 i = 0; i < inboxCount_; ++i)
@@ -469,17 +461,14 @@ StackServer::saveState(ByteSink &sink) const
 void
 StackServer::loadState(ByteSource &src)
 {
-    const ServerState st = static_cast<ServerState>(src.getU8());
+    const ServerState st =
+        src.getEnum(ServerState::Warming, "ServerState");
     stalledUntil_ = src.getU64();
     slowedUntil_ = src.getU64();
     slowDivisor_ = src.getU32();
     lastCycle_ = src.getU64();
     warmCrc_ = src.getU32();
-    stats_.served = src.getU64();
-    stats_.unitsSpent = src.getU64();
-    stats_.rejected = src.getU64();
-    stats_.dueReads = src.getU64();
-    stats_.corrected = src.getU64();
+    stats_.deserialize(src);
     inboxHead_ = 0;
     inboxCount_ = src.getU32();
     if (inboxCount_ > cfg_.queueCap)

@@ -81,7 +81,9 @@ struct ServerConfig
     void validate() const;
 };
 
-/** Server-local stats (merged into FleetCounters in server order). */
+/** Server-local stats (merged into FleetCounters in server order).
+ *  Every member is a u64 (common/serialize.h U64Fields), written to
+ *  the fingerprint and the checkpoint in declaration order. */
 struct ServerStats
 {
     u64 served = 0;
@@ -89,6 +91,13 @@ struct ServerStats
     u64 rejected = 0;   ///< Bounced off the full inbox.
     u64 dueReads = 0;   ///< Requests answered DueData.
     u64 corrected = 0;  ///< Requests whose device read was corrected.
+
+    void add(const ServerStats &c) { addU64Fields(*this, c); }
+    void serialize(ByteSink &sink) const { putU64Fields(sink, *this); }
+    void deserialize(ByteSource &src)
+    {
+        *this = getU64Fields<ServerStats>(src);
+    }
 };
 
 class StackServer

@@ -114,7 +114,7 @@ getFault(ByteSource &src)
     f.row = getDim(src);
     f.col = getDim(src);
     f.bit = getDim(src);
-    f.cls = static_cast<FaultClass>(src.getU8());
+    f.cls = src.getEnum(FaultClass::AddrTsvBank, "FaultClass");
     f.transient = src.getBool();
     f.fromTsv = src.getBool();
     f.timeHours = src.getDouble();
@@ -146,7 +146,7 @@ MetaFault
 getMetaFault(ByteSource &src)
 {
     MetaFault f;
-    f.target = static_cast<MetaTarget>(src.getU8());
+    f.target = src.getEnum(MetaTarget::ParityCacheLine, "MetaTarget");
     f.stack = StackId{src.getU32()};
     f.channel = ChannelId{src.getU32()};
     f.unit = UnitId{src.getU32()};
@@ -156,46 +156,6 @@ getMetaFault(ByteSource &src)
     f.transient = src.getBool();
     f.timeHours = src.getDouble();
     return f;
-}
-
-void
-putCounters(ByteSink &sink, const RasCounters &c)
-{
-    const u64 fields[] = {c.faultsInjected, c.faultsAbsorbed,
-                          c.demandReads, c.remappedReads, c.crcDetects,
-                          c.retries, c.ce, c.due, c.dueReads, c.sdc,
-                          c.parityGroupReads, c.linesReconstructed,
-                          c.rowsSpared, c.banksSpared, c.sparingDenied,
-                          c.tsvRepairs, c.pagesOfflined, c.banksRetired,
-                          c.channelsDegraded, c.retiredAbsorbed,
-                          c.offlinedReads, c.metaFaultsInjected,
-                          c.metaCorrected, c.metaMirrorRestored,
-                          c.metaRecordsLost, c.metaScrubRetries,
-                          c.metaBackoffCycles, c.parityCacheRefetches,
-                          c.faultsReactivated, c.divergences,
-                          c.analyticConservative};
-    for (u64 v : fields)
-        sink.putU64(v);
-}
-
-void
-getCounters(ByteSource &src, RasCounters &c)
-{
-    u64 *fields[] = {&c.faultsInjected, &c.faultsAbsorbed,
-                     &c.demandReads, &c.remappedReads, &c.crcDetects,
-                     &c.retries, &c.ce, &c.due, &c.dueReads, &c.sdc,
-                     &c.parityGroupReads, &c.linesReconstructed,
-                     &c.rowsSpared, &c.banksSpared, &c.sparingDenied,
-                     &c.tsvRepairs, &c.pagesOfflined, &c.banksRetired,
-                     &c.channelsDegraded, &c.retiredAbsorbed,
-                     &c.offlinedReads, &c.metaFaultsInjected,
-                     &c.metaCorrected, &c.metaMirrorRestored,
-                     &c.metaRecordsLost, &c.metaScrubRetries,
-                     &c.metaBackoffCycles, &c.parityCacheRefetches,
-                     &c.faultsReactivated, &c.divergences,
-                     &c.analyticConservative};
-    for (u64 *v : fields)
-        *v = src.getU64();
 }
 
 constexpr u32 kCheckpointMagic = 0x43544C52u; // "CTLR"
@@ -1048,7 +1008,7 @@ LiveRasDatapath::saveState(ByteSink &sink) const
     sink.putU64(lastScrub_);
     ladder_.serialize(sink);
     meta_.serialize(sink);
-    putCounters(sink, log_.counters);
+    log_.counters.serialize(sink);
 }
 
 void
@@ -1127,7 +1087,7 @@ LiveRasDatapath::loadState(ByteSource &src)
     lastScrub_ = src.getU64();
     ladder_.deserialize(src);
     meta_.deserialize(src);
-    getCounters(src, log_.counters);
+    log_.counters.deserialize(src);
 
     // Engine state is derived (golden XOR the active set), never
     // stored: rebuild it from what we just loaded.

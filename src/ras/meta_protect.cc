@@ -215,7 +215,8 @@ ProtectedMetaStore::deserialize(ByteSource &src)
     const u64 n = src.getCount(57); // exact serialized record size
     for (u64 i = 0; i < n; ++i) {
         RecordKey key;
-        key.target = static_cast<MetaTarget>(src.getU8());
+        key.target =
+            src.getEnum(MetaTarget::ParityCacheLine, "MetaTarget");
         key.stack = StackId{src.getU32()};
         key.unit = UnitId{src.getU32()};
         key.slot = MetaSlotId{src.getU32()};

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialize.h"
 #include "faults/fault.h"
 
 namespace citadel {
@@ -64,7 +65,9 @@ struct RasEvent
     std::string describe() const;
 };
 
-/** Per-run totals; the run summary of the acceptance criteria. */
+/** Per-run totals; the run summary of the acceptance criteria.
+ *  Every member is a u64 (common/serialize.h U64Fields), summed and
+ *  checkpointed in declaration order. */
 struct RasCounters
 {
     u64 faultsInjected = 0;
@@ -115,6 +118,13 @@ struct RasCounters
      * occasionally — the Monte Carlo evaluator is conservative.
      */
     u64 analyticConservative = 0;
+
+    void add(const RasCounters &c) { addU64Fields(*this, c); }
+    void serialize(ByteSink &sink) const { putU64Fields(sink, *this); }
+    void deserialize(ByteSource &src)
+    {
+        *this = getU64Fields<RasCounters>(src);
+    }
 
     std::string summary() const;
 };

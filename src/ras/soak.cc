@@ -19,45 +19,6 @@ constexpr u64 kSoakSeedMix = 0xD1B54A32D192ED03ull;
 constexpr u32 kSoakMagic = 0x43534F4Bu; // "CSOK"
 constexpr u32 kSoakVersion = 1;
 
-/** Field-wise counter sum (RasCounters is a plain bag of u64s, but
- *  keep the order explicit so a new field cannot be silently missed
- *  in checkpointed totals). */
-void
-addCounters(RasCounters &acc, const RasCounters &c)
-{
-    acc.faultsInjected += c.faultsInjected;
-    acc.faultsAbsorbed += c.faultsAbsorbed;
-    acc.demandReads += c.demandReads;
-    acc.remappedReads += c.remappedReads;
-    acc.crcDetects += c.crcDetects;
-    acc.retries += c.retries;
-    acc.ce += c.ce;
-    acc.due += c.due;
-    acc.dueReads += c.dueReads;
-    acc.sdc += c.sdc;
-    acc.parityGroupReads += c.parityGroupReads;
-    acc.linesReconstructed += c.linesReconstructed;
-    acc.rowsSpared += c.rowsSpared;
-    acc.banksSpared += c.banksSpared;
-    acc.sparingDenied += c.sparingDenied;
-    acc.tsvRepairs += c.tsvRepairs;
-    acc.pagesOfflined += c.pagesOfflined;
-    acc.banksRetired += c.banksRetired;
-    acc.channelsDegraded += c.channelsDegraded;
-    acc.retiredAbsorbed += c.retiredAbsorbed;
-    acc.offlinedReads += c.offlinedReads;
-    acc.metaFaultsInjected += c.metaFaultsInjected;
-    acc.metaCorrected += c.metaCorrected;
-    acc.metaMirrorRestored += c.metaMirrorRestored;
-    acc.metaRecordsLost += c.metaRecordsLost;
-    acc.metaScrubRetries += c.metaScrubRetries;
-    acc.metaBackoffCycles += c.metaBackoffCycles;
-    acc.parityCacheRefetches += c.parityCacheRefetches;
-    acc.faultsReactivated += c.faultsReactivated;
-    acc.divergences += c.divergences;
-    acc.analyticConservative += c.analyticConservative;
-}
-
 } // namespace
 
 void
@@ -205,7 +166,7 @@ SoakCampaign::result() const
     res.hoursSimulated = hoursDone_ * cfg_.shards;
     res.fingerprint = 0xCBF29CE484222325ull;
     for (const Shard &sh : shards_) {
-        addCounters(res.totals, sh.dp->counters());
+        res.totals.add(sh.dp->counters());
         res.retiredLines += sh.dp->ladder().map().retiredLines();
         res.minCapacityFraction =
             std::min(res.minCapacityFraction,

@@ -272,50 +272,63 @@ TEST(HashRing, PlacementPlusPredictsPostAdmissionOwnership)
     }
 }
 
-// ---- FleetCounters tripwire ----------------------------------------
+// ---- Counter-set tripwire ------------------------------------------
 
-// Catches a counter added to the struct but missed in add() or the
-// putU64 serialization: fill the struct with distinct non-zero values
-// via its flat-u64 layout (the static_asserts in fleet_types.h pin
-// it), then demand that serialize() emits exactly those values in
-// declaration order and that add() doubles every one of them.
-TEST(FleetCounters, TripwireEveryFieldSerializedAndMerged)
+// Every flat counter set (FleetCounters, RasCounters, ServerStats) is
+// summed and checkpointed through common/serialize.h's U64Fields view,
+// so a field added to the struct flows through add()/serialize() by
+// construction. This pins that each set keeps doing so: fill the
+// struct with distinct non-zero values via its flat-u64 layout, then
+// demand that serialize() emits exactly those values in declaration
+// order, that add() doubles every one of them, and that deserialize()
+// is the exact inverse.
+template <typename T>
+class CounterSetTripwire : public ::testing::Test
 {
-    static_assert(sizeof(FleetCounters) ==
-                  kFleetCounterFields * sizeof(u64));
+};
 
-    u64 fill[kFleetCounterFields];
-    for (std::size_t i = 0; i < kFleetCounterFields; ++i)
+using CounterSets = ::testing::Types<FleetCounters, RasCounters, ServerStats>;
+TYPED_TEST_SUITE(CounterSetTripwire, CounterSets);
+
+TYPED_TEST(CounterSetTripwire, EveryFieldSerializedAndMerged)
+{
+    using T = TypeParam;
+    constexpr std::size_t kFields = sizeof(T) / sizeof(u64);
+    static_assert(kFields > 0 && sizeof(T) == kFields * sizeof(u64));
+
+    u64 fill[kFields];
+    for (std::size_t i = 0; i < kFields; ++i)
         fill[i] = i + 1;
-    FleetCounters c;
+    T c;
     std::memcpy(&c, fill, sizeof(c));
 
     ByteSink sink;
     c.serialize(sink);
-    ASSERT_EQ(sink.bytes().size(), sizeof(FleetCounters))
+    ASSERT_EQ(sink.bytes().size(), sizeof(T))
         << "serialize() writes a different number of fields than the "
            "struct declares";
     ByteSource src(sink.bytes());
-    for (std::size_t i = 0; i < kFleetCounterFields; ++i)
+    for (std::size_t i = 0; i < kFields; ++i)
         EXPECT_EQ(src.getU64(), i + 1)
             << "field " << i
             << " serialized out of declaration order or skipped";
 
     // add() must cover the same field set.
-    FleetCounters sum = c;
+    T sum = c;
     sum.add(c);
     ByteSink sink2;
     sum.serialize(sink2);
     ByteSource src2(sink2.bytes());
-    for (std::size_t i = 0; i < kFleetCounterFields; ++i)
+    for (std::size_t i = 0; i < kFields; ++i)
         EXPECT_EQ(src2.getU64(), 2 * (i + 1))
             << "field " << i << " missed by add()";
 
     // deserialize() is the exact inverse.
-    FleetCounters back;
+    T back;
     ByteSource src3(sink.bytes());
     back.deserialize(src3);
     EXPECT_EQ(src3.remaining(), 0u);
+    EXPECT_EQ(std::memcmp(&back, &c, sizeof(T)), 0);
     ByteSink sink4;
     back.serialize(sink4);
     EXPECT_EQ(sink4.bytes(), sink.bytes());

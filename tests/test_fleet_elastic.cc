@@ -407,4 +407,22 @@ TEST(ElasticCheckpointDeath, MismatchedScheduleIsRejected)
     EXPECT_DEATH(other.loadState(src), "schedule");
 }
 
+TEST(ElasticCheckpointDeath, OutOfRangeServerStateIsRejected)
+{
+    ServerConfig scfg = elasticConfig().server;
+    scfg.keySpace = elasticConfig().keySpace;
+    StackServer a(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
+    ThreadRoleGrant serial(kSerialPhase);
+    ByteSink sink;
+    a.saveState(sink);
+
+    // The lifecycle state is the first byte of a server checkpoint.
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[0], static_cast<u8>(ServerState::Up));
+    bytes[0] = static_cast<u8>(ServerState::Warming) + 1;
+    StackServer b(0, scfg, /*seed=*/1, /*campaign_ticks=*/64);
+    ByteSource src(bytes);
+    EXPECT_DEATH(b.loadState(src), "ServerState byte 6 out of range");
+}
+
 } // namespace

@@ -429,4 +429,28 @@ TEST(FleetClientCheckpointDeath, AckedCountMismatchIsRejected)
     EXPECT_DEATH(b.client.loadState(src), "acked count");
 }
 
+TEST(FleetClientCheckpointDeath, OutOfRangeOpKindIsRejected)
+{
+    Harness a(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    const u64 id = 0x5A5A01;
+    a.client.startWrite(id, 50, 0);
+    ByteSink sink;
+    a.client.saveState(sink);
+
+    // The live-op list precedes the wheel, so the first occurrence of
+    // the id is its op record, whose first byte is the kind.
+    std::vector<u8> bytes = sink.bytes();
+    const std::vector<u8> pat = u64Bytes(id);
+    const auto at =
+        std::search(bytes.begin(), bytes.end(), pat.begin(), pat.end());
+    ASSERT_NE(at, bytes.end());
+    u8 &kind = at[static_cast<std::ptrdiff_t>(pat.size())];
+    ASSERT_EQ(kind, static_cast<u8>(OpKind::Write));
+    kind = static_cast<u8>(OpKind::Write) + 1;
+    Harness b(testPolicy());
+    ByteSource src(bytes);
+    EXPECT_DEATH(b.client.loadState(src), "OpKind byte 2 out of range");
+}
+
 } // namespace

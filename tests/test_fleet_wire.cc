@@ -458,6 +458,39 @@ TEST(FleetWire, NextGenerationEmptiesEveryShardAndReusesSlots)
     EXPECT_EQ(seqs[0], 0u);
 }
 
+// ---- Checkpoint enum bytes -----------------------------------------
+
+// The checkpoint codecs reject the same out-of-range enum bytes
+// decodeFrame rejects as BadRecord on the wire: overwrite the kind or
+// status byte of a real serialized record and the loader must die
+// rather than hand an invalid enum to the server or client.
+
+/** Byte offset of Request::kind / Response::status: op, attempt,
+ *  replica come first. */
+constexpr std::size_t kEnumByteAt = 8 + 4 + 4;
+
+TEST(FleetCheckpointDeath, OutOfRangeRequestKindIsRejected)
+{
+    ByteSink sink;
+    putRequest(sink, makeRequest(1)); // odd i: a Write
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[kEnumByteAt], static_cast<u8>(OpKind::Write));
+    bytes[kEnumByteAt] = static_cast<u8>(OpKind::Write) + 1;
+    ByteSource src(bytes);
+    EXPECT_DEATH(getRequest(src), "OpKind byte 2 out of range");
+}
+
+TEST(FleetCheckpointDeath, OutOfRangeResponseStatusIsRejected)
+{
+    ByteSink sink;
+    putResponse(sink, makeResponse(3)); // i % 4 == 3: Busy
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[kEnumByteAt], static_cast<u8>(Status::Busy));
+    bytes[kEnumByteAt] = static_cast<u8>(Status::Busy) + 1;
+    ByteSource src(bytes);
+    EXPECT_DEATH(getResponse(src), "Status byte 4 out of range");
+}
+
 } // namespace
 } // namespace fleet
 } // namespace citadel

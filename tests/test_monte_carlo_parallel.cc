@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -158,6 +160,57 @@ TEST(MonteCarloParallel, BitIdenticalAcrossForcedKernelModes)
             expectIdentical(reference, mc.run(*scheme, 1500, 13, t));
     }
     setKernelMode(saved);
+}
+
+// Golden results: unlike the tests above, which compare two runs of
+// the same build, these pin exact McResult values across commits. A
+// change to the seeding, the injector's draw stream, the per-trial
+// loop or the shard merge moves them. 12614 faults over 20000 trials
+// is the sampled total, shared by both schemes (same config, same
+// seeds).
+TEST(MonteCarloGolden, CitadelAtPessimisticTsvRate)
+{
+    SystemConfig cfg;
+    cfg.tsvDeviceFit = 1430.0;
+    MonteCarlo mc(cfg);
+    auto scheme = makeCitadel();
+    for (unsigned t : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(t));
+        const McResult r = mc.run(*scheme, 20000, 7, t);
+        EXPECT_EQ(r.trials, 20000u);
+        EXPECT_EQ(r.failures, 0u);
+        EXPECT_EQ(r.failuresByYear, std::vector<u64>(7, 0));
+        EXPECT_TRUE(r.failuresByClass.empty());
+        EXPECT_EQ(r.meanFaultsPerTrial, 12614.0 / 20000.0);
+    }
+}
+
+TEST(MonteCarloGolden, SymbolBaselineFailsInEveryClass)
+{
+    // Citadel survives every trial above, so this weaker scheme pins
+    // the failure path too: the trigger class, the failure year and
+    // the scrub handling all feed these counts.
+    SystemConfig cfg;
+    cfg.tsvDeviceFit = 1430.0;
+    MonteCarlo mc(cfg);
+    auto scheme = makeSymbolBaseline(StripingMode::SameBank);
+    const std::map<FaultClass, u64> by_class = {
+        {FaultClass::Bit, 2},         {FaultClass::Word, 230},
+        {FaultClass::Column, 228},    {FaultClass::Row, 556},
+        {FaultClass::SubArray, 418},  {FaultClass::Bank, 1069},
+        {FaultClass::Channel, 48},    {FaultClass::DataTsv, 2681},
+        {FaultClass::AddrTsvRow, 188}, {FaultClass::AddrTsvBank, 35},
+    };
+    for (unsigned t : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(t));
+        const McResult r = mc.run(*scheme, 20000, 7, t);
+        EXPECT_EQ(r.failures, 5455u);
+        EXPECT_EQ(r.failuresByYear,
+                  (std::vector<u64>{927, 1781, 2606, 3383, 4130, 4789,
+                                    5455}));
+        EXPECT_EQ(r.failuresByClass, by_class);
+        EXPECT_EQ(r.meanFaultsPerTrial, 12614.0 / 20000.0);
+    }
 }
 
 // ---- ThreadPool unit tests -----------------------------------------

@@ -315,6 +315,51 @@ TEST_F(LiveRasTest, RejectsWildStackFault)
     EXPECT_DEATH(dp.scheduleFault(f, 0), "stack");
 }
 
+// A checkpoint's fault records carry their class as one byte; an
+// out-of-range class must stop the loader, not reach the engines.
+TEST_F(LiveRasTest, CheckpointRejectsOutOfRangeFaultClass)
+{
+    LiveRasDatapath dp(cfg_);
+    dp.scheduleFault(rowFault(0, 0, 0, 5), 10);
+    dp.tick(10);
+    ASSERT_EQ(dp.activeFaults().size(), 1u);
+    ByteSink sink;
+    dp.saveState(sink);
+
+    // Magic, version and the active-list count, then the first fault:
+    // six 8-byte dimension specs, then its class byte.
+    constexpr std::size_t kClassAt = 4 + 4 + 8 + 6 * 8;
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[kClassAt], static_cast<u8>(FaultClass::Row));
+    bytes[kClassAt] = static_cast<u8>(FaultClass::AddrTsvBank) + 1;
+    LiveRasDatapath other(cfg_);
+    ByteSource src(bytes);
+    EXPECT_DEATH(other.loadState(src), "FaultClass byte 10 out of range");
+}
+
+TEST_F(LiveRasTest, CheckpointRejectsOutOfRangeMetaTarget)
+{
+    LiveRasDatapath dp(cfg_);
+    MetaFault mf;
+    mf.target = MetaTarget::TsvRegister;
+    mf.stack = StackId{0};
+    mf.channel = ChannelId{0};
+    mf.flipMask = 1;
+    dp.scheduleMetaFault(mf, 100); // still pending at the checkpoint
+    ByteSink sink;
+    dp.saveState(sink);
+
+    // Magic, version, empty active and pending fault lists, the
+    // pending-meta count and the first entry's cycle, then its target.
+    constexpr std::size_t kTargetAt = 4 + 4 + 8 + 8 + 8 + 8;
+    std::vector<u8> bytes = sink.bytes();
+    ASSERT_EQ(bytes[kTargetAt], static_cast<u8>(MetaTarget::TsvRegister));
+    bytes[kTargetAt] = static_cast<u8>(MetaTarget::ParityCacheLine) + 1;
+    LiveRasDatapath other(cfg_);
+    ByteSource src(bytes);
+    EXPECT_DEATH(other.loadState(src), "MetaTarget byte 4 out of range");
+}
+
 // ---------------------------------------------------------------------
 // End-to-end: the datapath attached to the running timing simulator.
 // ---------------------------------------------------------------------
