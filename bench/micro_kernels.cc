@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
  * CRC-32, Reed-Solomon encode/decode, fault-lifetime sampling, Monte
- * Carlo trials, 3DP bit-true reconstruction and LLC operations. These
+ * Carlo trials, 3DP bit-true rebuild/correction and LLC operations. These
  * quantify the cost of the machinery behind the figure benches.
  */
 
@@ -224,6 +224,72 @@ BM_ParityEngineReconstructRow(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ParityEngineReconstructRow);
+
+/** `n` single-bit faults at random lines of tiny()'s data dies. */
+std::vector<Fault>
+scatteredBitFaults(const StackGeometry &g, u32 n, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<Fault> faults;
+    for (u32 i = 0; i < n; ++i) {
+        Fault f;
+        f.cls = FaultClass::Bit;
+        f.stack = DimSpec::exact(0);
+        f.channel = DimSpec::exact(
+            static_cast<u32>(rng.below(g.channelsPerStack + 1)));
+        f.bank = DimSpec::exact(
+            static_cast<u32>(rng.below(g.banksPerChannel)));
+        f.row = DimSpec::exact(static_cast<u32>(rng.below(g.rowsPerBank)));
+        f.col = DimSpec::exact(
+            static_cast<u32>(rng.below(g.linesPerRow())));
+        f.bit = DimSpec::exact(static_cast<u32>(rng.below(g.bitsPerLine())));
+        faults.push_back(f);
+    }
+    return faults;
+}
+
+/** The live datapath's per-event rebuild: restore, then re-corrupt
+ *  with every active fault. */
+void
+BM_ParityEngineRebuild(benchmark::State &state)
+{
+    const StackGeometry g = StackGeometry::tiny();
+    ParityEngine eng(g);
+    const std::vector<Fault> faults =
+        scatteredBitFaults(g, static_cast<u32>(state.range(0)), 21);
+    for (auto _ : state) {
+        eng.restore();
+        eng.corrupt(faults);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParityEngineRebuild)->Arg(1)->Arg(8)->Arg(32);
+
+/** Demand correction of one line of a whole-bank fault (D1 rebuild
+ *  with the other 255 corrupt lines present). */
+void
+BM_ParityEngineCorrectLineBank(benchmark::State &state)
+{
+    ParityEngine eng(StackGeometry::tiny());
+    Fault f;
+    f.cls = FaultClass::Bank;
+    f.stack = DimSpec::exact(0);
+    f.channel = DimSpec::exact(1);
+    f.bank = DimSpec::exact(1);
+    f.row = DimSpec::wild();
+    f.col = DimSpec::wild();
+    f.bit = DimSpec::wild();
+    for (auto _ : state) {
+        state.PauseTiming();
+        eng.restore();
+        eng.corrupt({f});
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(
+            eng.correctLine(DieId{1}, BankId{1}, RowId{40}, ColId{2}));
+    }
+}
+BENCHMARK(BM_ParityEngineCorrectLineBank);
 
 void
 BM_LlcFillProbe(benchmark::State &state)

@@ -290,8 +290,8 @@ main()
     });
     const double xf_disp_stream =
         foldMbPerS(acc, buf, fold_passes, [](u8 *d, const u8 *s,
-                                             std::size_t n) {
-            xorKernelOps().fold(d, s, n);
+                                             std::size_t len) {
+            xorKernelOps().fold(d, s, len);
         });
 
     // xorFoldN: k lines folded in one pass vs k scalar passes.
@@ -396,11 +396,11 @@ main()
         SimResult rc, re;
         for (const SimStepping stepping :
              {SimStepping::Cycle, SimStepping::Event}) {
-            SimConfig cfg;
-            cfg.ras = p.ras;
-            cfg.insnsPerCore = sim_insns;
-            cfg.stepping = stepping;
-            SystemSim sim(cfg, prof);
+            SimConfig simCfg;
+            simCfg.ras = p.ras;
+            simCfg.insnsPerCore = sim_insns;
+            simCfg.stepping = stepping;
+            SystemSim sim(simCfg, prof);
             t0 = std::chrono::steady_clock::now();
             const SimResult r = sim.run();
             const double dt = secondsSince(t0);

@@ -1,7 +1,10 @@
 #include "citadel/parity_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <functional>
+#include <queue>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -10,6 +13,143 @@
 
 namespace citadel {
 
+namespace {
+
+/**
+ * Call f(a) for every a in [0, n) that `spec` matches, ascending,
+ * without testing the others: fix the spec's masked bits and walk the
+ * subsets of its free bits.
+ */
+template <class F>
+void
+forEachMatch(const DimSpec &spec, u32 n, F f)
+{
+    const u32 low = std::bit_ceil(n) - 1;
+    if ((spec.value & spec.mask & ~low) != 0)
+        return; // A masked bit is set that no a < n has.
+    const u32 fixed = spec.value & spec.mask;
+    const u32 free = ~spec.mask & low;
+    u32 sub = 0;
+    do {
+        if ((fixed | sub) < n)
+            f(fixed | sub);
+        sub = (sub - free) & free; // Next subset of `free`, ascending.
+    } while (sub != 0);
+}
+
+/** Lines of the largest parity group any fold or rebuild gathers. */
+u64
+maxGroupLines(u64 dies, u64 banks, u64 rows)
+{
+    return std::max({dies * banks, banks * rows, (dies + 1) * rows});
+}
+
+/**
+ * Erasure-peeling state over one corrupt set (the classic peeling
+ * decoder). Lines are indices into the canonically ordered corrupt
+ * list. Per parity group it keeps how many lines are still corrupt and
+ * the XOR of their indices, so a group down to one corrupt line names
+ * that line in O(1). A line is solvable in dimension d when its
+ * d-group holds no other corrupt line; rebuilding a line only lowers
+ * counts, so a solvable line stays solvable until it is rebuilt.
+ *
+ * next() yields the lowest solvable pending index -- the line the
+ * canonical scan "first solvable line in storage order" picks -- so
+ * every caller peels in exactly that order.
+ */
+class Peel
+{
+  public:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** key(i, d): label of line i's parity group in dimension d. */
+    template <class KeyFn>
+    Peel(std::size_t n, u32 dims, KeyFn key)
+        : dims_(dims >= 3 ? 3 : dims == 2 ? 2 : 1), pending_(n, 1),
+          left_(n)
+    {
+        std::vector<u64> labels(n);
+        for (u32 d = 0; d < dims_; ++d) {
+            for (std::size_t i = 0; i < n; ++i)
+                labels[i] = key(i, d + 1);
+            std::vector<u64> groups = labels;
+            std::sort(groups.begin(), groups.end());
+            groups.erase(std::unique(groups.begin(), groups.end()),
+                         groups.end());
+            group_[d].resize(n);
+            count_[d].assign(groups.size(), 0);
+            members_[d].assign(groups.size(), 0);
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto g = static_cast<std::size_t>(
+                    std::lower_bound(groups.begin(), groups.end(),
+                                     labels[i]) -
+                    groups.begin());
+                group_[d][i] = g;
+                ++count_[d][g];
+                members_[d][g] ^= i;
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            if (dim(i) != 0)
+                ready_.push(i);
+    }
+
+    /** Lowest dimension able to rebuild pending line i; 0 if none. */
+    u32
+    dim(std::size_t i) const
+    {
+        for (u32 d = 0; d < dims_; ++d)
+            if (count_[d][group_[d][i]] == 1)
+                return d + 1;
+        return 0;
+    }
+
+    /** Lowest solvable pending line, or kNone when peeling is stuck.
+     *  The caller rebuilds it and calls remove(). */
+    std::size_t
+    next()
+    {
+        while (!ready_.empty()) {
+            const std::size_t i = ready_.top();
+            ready_.pop();
+            if (pending_[i])
+                return i;
+        }
+        return kNone;
+    }
+
+    /** Line i is rebuilt: any group it leaves with one corrupt line
+     *  makes that line solvable. */
+    void
+    remove(std::size_t i)
+    {
+        pending_[i] = 0;
+        --left_;
+        for (u32 d = 0; d < dims_; ++d) {
+            const std::size_t g = group_[d][i];
+            members_[d][g] ^= i;
+            if (--count_[d][g] == 1)
+                ready_.push(members_[d][g]);
+        }
+    }
+
+    bool pending(std::size_t i) const { return pending_[i] != 0; }
+    bool done() const { return left_ == 0; }
+
+  private:
+    u32 dims_;
+    std::vector<std::size_t> group_[3];   ///< Line -> group, per dim.
+    std::vector<std::size_t> count_[3];   ///< Corrupt lines per group.
+    std::vector<std::size_t> members_[3]; ///< XOR of their indices.
+    std::vector<u8> pending_;
+    std::size_t left_;
+    std::priority_queue<std::size_t, std::vector<std::size_t>,
+                        std::greater<>>
+        ready_;
+};
+
+} // namespace
+
 ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
 {
     geom_.validate();
@@ -17,19 +157,43 @@ ParityEngine::ParityEngine(const StackGeometry &geom, u64 seed) : geom_(geom)
         fatal("ParityEngine: single-stack geometries only");
     dies_ = geom_.channelsPerStack + 1;
 
-    const u64 bytes = static_cast<u64>(dies_) * geom_.banksPerChannel *
-                      geom_.rowsPerBank * geom_.rowBytes;
-    data_.resize(bytes);
+    const u64 lb = geom_.lineBytes;
+    golden_.resize(ordinalCount() * lb);
     Rng rng(seed);
-    for (auto &b : data_)
-        b = static_cast<u8>(rng.next());
-    golden_ = data_;
+    std::for_each(golden_.begin(),
+                  golden_.begin() + static_cast<long>(totalLines() * lb),
+                  [&](u8 &b) { b = static_cast<u8>(rng.next()); });
 
-    crc_.resize(totalLines());
-    for (u64 l = 0; l < totalLines(); ++l)
-        crc_[l] = Crc32::lineCrc(l, {linePtr(golden_, l), geom_.lineBytes});
-
+    foldSrcs_.reserve(maxGroupLines(dies_, geom_.banksPerChannel,
+                                    geom_.rowsPerBank));
+    accScratch_.reserve(lb);
     buildParity();
+    image_ = golden_;
+
+    crc_.resize(ordinalCount());
+    for (u64 o = 0; o < ordinalCount(); ++o)
+        crc_[o] = Crc32::lineCrc(o, {goldenPtr(o), geom_.lineBytes});
+
+    isDirty_.assign(ordinalCount(), 0);
+    dirty_.reserve(ordinalCount());
+}
+
+u64
+ParityEngine::modelBytes(const StackGeometry &geom)
+{
+    const u64 dies = geom.channelsPerStack + 1;
+    const u64 cols = geom.linesPerRow();
+    const u64 slots = static_cast<u64>(geom.rowsPerBank) * cols;
+    const u64 lines = dies * geom.banksPerChannel * slots + slots;
+    const u64 folds = (dies + 1 + geom.banksPerChannel) * cols;
+    // Per line: live and golden bytes, golden CRC, dirty flag and a
+    // dirty-list slot (reserved up front, so this is exact).
+    const u64 perLine =
+        2ull * geom.lineBytes + sizeof(u32) + sizeof(u8) + sizeof(u64);
+    return lines * perLine + folds * geom.lineBytes +
+           maxGroupLines(dies, geom.banksPerChannel, geom.rowsPerBank) *
+               sizeof(const u8 *) +
+           geom.lineBytes;
 }
 
 u64
@@ -37,6 +201,13 @@ ParityEngine::totalLines() const
 {
     return static_cast<u64>(dies_) * geom_.banksPerChannel *
            geom_.rowsPerBank * geom_.linesPerRow();
+}
+
+u64
+ParityEngine::ordinalCount() const
+{
+    return totalLines() +
+           static_cast<u64>(geom_.rowsPerBank) * geom_.linesPerRow();
 }
 
 u64
@@ -58,49 +229,77 @@ ParityEngine::parityIndex(RowId row, ColId col) const
                          col.value()};
 }
 
-u8 *
-ParityEngine::linePtr(std::vector<u8> &buf, u64 storage_line)
+u64
+ParityEngine::ordinal(DieId die, BankId bank, RowId row, ColId col) const
 {
-    return buf.data() + storage_line * geom_.lineBytes;
+    if (die == parityDie())
+        return totalLines() + parityIndex(row, col).value();
+    return lineIndex(die, bank, row, col);
+}
+
+u64
+ParityEngine::ordinal(const CorruptLine &l) const
+{
+    return ordinal(l.die, l.bank, l.row, l.col);
+}
+
+ParityEngine::CorruptLine
+ParityEngine::lineAt(u64 o) const
+{
+    const u32 cols = geom_.linesPerRow();
+    if (o >= totalLines()) {
+        const u64 idx = o - totalLines();
+        return {parityDie(), BankId{0}, RowId{static_cast<u32>(idx / cols)},
+                ColId{static_cast<u32>(idx % cols)}};
+    }
+    const ColId col{static_cast<u32>(o % cols)};
+    o /= cols;
+    const RowId row{static_cast<u32>(o % geom_.rowsPerBank)};
+    o /= geom_.rowsPerBank;
+    const BankId bank{static_cast<u32>(o % geom_.banksPerChannel)};
+    return {DieId{static_cast<u32>(o / geom_.banksPerChannel)}, bank, row,
+            col};
+}
+
+u8 *
+ParityEngine::linePtr(u64 o)
+{
+    return image_.data() + o * geom_.lineBytes;
 }
 
 const u8 *
-ParityEngine::linePtr(const std::vector<u8> &buf, u64 storage_line) const
+ParityEngine::linePtr(u64 o) const
 {
-    return buf.data() + storage_line * geom_.lineBytes;
+    return image_.data() + o * geom_.lineBytes;
 }
 
-u32
-ParityEngine::computeCrc(u64 storage_line) const
+const u8 *
+ParityEngine::goldenPtr(u64 o) const
 {
-    return Crc32::lineCrc(storage_line,
-                          {linePtr(data_, storage_line), geom_.lineBytes});
+    return golden_.data() + o * geom_.lineBytes;
 }
 
-bool
-ParityEngine::lineCorrupt(u64 storage_line) const
+void
+ParityEngine::markDirty(u64 o)
 {
-    return computeCrc(storage_line) != crc_[storage_line];
+    if (isDirty_[o])
+        return;
+    isDirty_[o] = 1;
+    dirty_.push_back(o);
 }
 
-bool
-ParityEngine::parityLineCorrupt(RowId row, ColId col) const
+void
+ParityEngine::writeLine(u64 o, const u8 *bytes)
 {
-    const u64 idx = parityIndex(row, col).value();
-    // Parity lines get CRC addresses above the data line space so a
-    // misdirected read can never alias a data CRC.
-    const u32 crc = Crc32::lineCrc(totalLines() + idx,
-                                   {linePtr(parity1_, idx),
-                                    geom_.lineBytes});
-    return crc != parityCrc_[idx];
+    std::memcpy(linePtr(o), bytes, geom_.lineBytes);
+    markDirty(o);
 }
 
 bool
-ParityEngine::isCorrupt(const CorruptLine &l) const
+ParityEngine::isCorrupt(u64 o) const
 {
-    if (l.die == parityDie())
-        return parityLineCorrupt(l.row, l.col);
-    return lineCorrupt(lineIndex(l.die, l.bank, l.row, l.col));
+    return isDirty_[o] &&
+           Crc32::lineCrc(o, {linePtr(o), geom_.lineBytes}) != crc_[o];
 }
 
 void
@@ -125,26 +324,30 @@ ParityEngine::buildParity()
     const u32 banks = geom_.banksPerChannel;
     const u32 rows = geom_.rowsPerBank;
 
-    parity1_.assign(static_cast<u64>(rows) * cols * lb, 0);
     parity2_.assign(static_cast<u64>(dies_ + 1) * cols * lb, 0);
     parity3_.assign(static_cast<u64>(banks) * cols * lb, 0);
+
+    auto goldenData = [&](u32 d, u32 b, u32 r, u32 c) {
+        return goldenPtr(lineIndex(DieId{d}, BankId{b}, RowId{r}, ColId{c}));
+    };
 
     // Each fold destination gathers its whole group and accumulates it
     // in one xorFoldN pass (XOR is associative and commutative over
     // exact bytes, so regrouping the old per-source loop is
     // byte-identical; tests pin the images).
 
-    // D1: a (row, col) slot folds all its (die, bank) lines.
+    // D1: a (row, col) slot folds all its (die, bank) lines into the
+    // parity store (zero-initialized by the constructor's resize).
     for (u32 r = 0; r < rows; ++r)
         for (u32 c = 0; c < cols; ++c) {
             foldSrcs_.clear();
             for (u32 d = 0; d < dies_; ++d)
                 for (u32 b = 0; b < banks; ++b)
-                    foldSrcs_.push_back(linePtr(
-                        golden_, lineIndex(DieId{d}, BankId{b}, RowId{r},
-                                           ColId{c})));
-            xorFoldN(parity1_.data() +
-                         (static_cast<u64>(r) * cols + c) * lb,
+                    foldSrcs_.push_back(goldenData(d, b, r, c));
+            xorFoldN(golden_.data() +
+                         ordinal(parityDie(), BankId{0}, RowId{r},
+                                 ColId{c}) *
+                             lb,
                      foldSrcs_.data(), foldSrcs_.size(), lb);
         }
 
@@ -154,9 +357,7 @@ ParityEngine::buildParity()
             foldSrcs_.clear();
             for (u32 b = 0; b < banks; ++b)
                 for (u32 r = 0; r < rows; ++r)
-                    foldSrcs_.push_back(linePtr(
-                        golden_, lineIndex(DieId{d}, BankId{b}, RowId{r},
-                                           ColId{c})));
+                    foldSrcs_.push_back(goldenData(d, b, r, c));
             xorFoldN(parity2_.data() +
                          (static_cast<u64>(d) * cols + c) * lb,
                      foldSrcs_.data(), foldSrcs_.size(), lb);
@@ -169,22 +370,10 @@ ParityEngine::buildParity()
             foldSrcs_.clear();
             for (u32 d = 0; d < dies_; ++d)
                 for (u32 r = 0; r < rows; ++r)
-                    foldSrcs_.push_back(linePtr(
-                        golden_, lineIndex(DieId{d}, BankId{b}, RowId{r},
-                                           ColId{c})));
+                    foldSrcs_.push_back(goldenData(d, b, r, c));
             xorFoldN(parity3_.data() +
                          (static_cast<u64>(b) * cols + c) * lb,
                      foldSrcs_.data(), foldSrcs_.size(), lb);
-        }
-
-    goldenParity1_ = parity1_;
-    parityCrc_.resize(static_cast<u64>(rows) * cols);
-    for (u32 r = 0; r < rows; ++r)
-        for (u32 c = 0; c < cols; ++c) {
-            const u64 idx = parityIndex(RowId{r}, ColId{c}).value();
-            parityCrc_[idx] =
-                Crc32::lineCrc(totalLines() + idx,
-                               {linePtr(goldenParity1_, idx), lb});
         }
 
     // The parity unit participates in D2 (its own fold, die slot
@@ -192,8 +381,9 @@ ParityEngine::buildParity()
     for (u32 c = 0; c < cols; ++c) {
         foldSrcs_.clear();
         for (u32 r = 0; r < rows; ++r)
-            foldSrcs_.push_back(linePtr(
-                goldenParity1_, parityIndex(RowId{r}, ColId{c}).value()));
+            foldSrcs_.push_back(
+                goldenPtr(ordinal(parityDie(), BankId{0}, RowId{r},
+                                  ColId{c})));
         xorFoldN(parity2_.data() +
                      (static_cast<u64>(dies_) * cols + c) * lb,
                  foldSrcs_.data(), foldSrcs_.size(), lb);
@@ -207,79 +397,82 @@ ParityEngine::corrupt(const std::vector<Fault> &faults)
 {
     // Flip the *union* of covered bits: two faults overlapping on a bit
     // both corrupt it (physical faults do not cancel each other out).
-    const u32 cols = geom_.linesPerRow();
-    auto flipCovered = [&](u32 d, u32 b, u32 r, u32 c, u8 *ln) {
-        bool any = false;
-        for (const Fault &f : faults)
-            if (f.channel.matches(d) && f.bank.matches(b) &&
-                f.row.matches(r) && f.col.matches(c)) {
-                any = true;
-                break;
-            }
-        if (!any)
-            return;
-        for (u32 bit = 0; bit < geom_.bitsPerLine(); ++bit) {
-            bool covered = false;
-            for (const Fault &f : faults)
-                if (f.channel.matches(d) && f.bank.matches(b) &&
-                    f.row.matches(r) && f.col.matches(c) &&
-                    f.bit.matches(bit)) {
-                    covered = true;
-                    break;
-                }
-            if (covered)
-                ln[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
-        }
+    // Each fault's bit mask is built once. Only the coordinates a
+    // fault's specs match are visited, and each covered line is flipped
+    // once -- by the first fault covering it, with the OR of the masks
+    // of every fault covering it.
+    const u32 lb = geom_.lineBytes;
+    const std::size_t n = faults.size();
+    std::vector<u8> masks(n * lb, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        forEachMatch(faults[i].bit, geom_.bitsPerLine(), [&](u32 bit) {
+            masks[i * lb + bit / 8] |= static_cast<u8>(1u << (bit % 8));
+        });
+
+    auto covers = [](const Fault &f, u32 d, u32 b, u32 r, u32 c) {
+        return f.channel.matches(d) && f.bank.matches(b) &&
+               f.row.matches(r) && f.col.matches(c);
+    };
+    auto flip = [&](std::size_t i, u32 d, u32 b, u32 r, u32 c) {
+        for (std::size_t j = 0; j < i; ++j)
+            if (covers(faults[j], d, b, r, c))
+                return; // Flipped with fault j's union already.
+        accScratch_.assign(masks.begin() + static_cast<long>(i * lb),
+                           masks.begin() + static_cast<long>((i + 1) * lb));
+        for (std::size_t j = i + 1; j < n; ++j)
+            if (covers(faults[j], d, b, r, c))
+                for (u32 k = 0; k < lb; ++k)
+                    accScratch_[k] |= masks[j * lb + k];
+        const u64 o = ordinal(DieId{d}, BankId{b}, RowId{r}, ColId{c});
+        u8 *ln = linePtr(o);
+        for (u32 k = 0; k < lb; ++k)
+            ln[k] ^= accScratch_[k];
+        markDirty(o);
     };
 
-    for (u32 d = 0; d < dies_; ++d)
-        for (u32 b = 0; b < geom_.banksPerChannel; ++b)
-            for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-                for (u32 c = 0; c < cols; ++c)
-                    flipCovered(d, b, r, c,
-                                linePtr(data_,
-                                        lineIndex(DieId{d}, BankId{b},
-                                                  RowId{r}, ColId{c})));
-
-    // The parity store is addressed as die parityDie(), bank 0.
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < cols; ++c)
-            flipCovered(dies_, 0, r, c,
-                        linePtr(parity1_,
-                                parityIndex(RowId{r}, ColId{c}).value()));
+    // Die parityDie() addresses the parity store, which has bank 0 only.
+    for (std::size_t i = 0; i < n; ++i) {
+        const Fault &f = faults[i];
+        forEachMatch(f.channel, dies_ + 1, [&](u32 d) {
+            forEachMatch(f.bank, d == dies_ ? 1 : geom_.banksPerChannel,
+                         [&](u32 b) {
+                forEachMatch(f.row, geom_.rowsPerBank, [&](u32 r) {
+                    forEachMatch(f.col, geom_.linesPerRow(),
+                                 [&](u32 c) { flip(i, d, b, r, c); });
+                });
+            });
+        });
+    }
 }
 
 void
 ParityEngine::fixViaD1(DieId die, BankId bank, RowId row, ColId col)
 {
     const u32 lb = geom_.lineBytes;
-    const u64 pidx = parityIndex(row, col).value();
+    const u64 pord = ordinal(parityDie(), BankId{0}, row, col);
+    foldSrcs_.clear();
     if (die == parityDie()) {
         // Rebuild the parity line itself from all data units.
         accScratch_.assign(lb, 0);
-        foldSrcs_.clear();
         for (u32 d = 0; d < dies_; ++d)
             for (u32 b = 0; b < geom_.banksPerChannel; ++b)
                 foldSrcs_.push_back(
-                    linePtr(data_, lineIndex(DieId{d}, BankId{b}, row, col)));
+                    linePtr(lineIndex(DieId{d}, BankId{b}, row, col)));
         xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-        std::memcpy(linePtr(parity1_, pidx), accScratch_.data(), lb);
+        writeLine(pord, accScratch_.data());
         return;
     }
-    accScratch_.assign(parity1_.begin() + static_cast<long>(pidx * lb),
-                       parity1_.begin() + static_cast<long>((pidx + 1) * lb));
-    foldSrcs_.clear();
+    accScratch_.assign(linePtr(pord), linePtr(pord) + lb);
     for (u32 d = 0; d < dies_; ++d)
         for (u32 b = 0; b < geom_.banksPerChannel; ++b) {
             const DieId dd{d};
             const BankId bb{b};
             if (dd == die && bb == bank)
                 continue;
-            foldSrcs_.push_back(linePtr(data_, lineIndex(dd, bb, row, col)));
+            foldSrcs_.push_back(linePtr(lineIndex(dd, bb, row, col)));
         }
     xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-    std::memcpy(linePtr(data_, lineIndex(die, bank, row, col)),
-                accScratch_.data(), lb);
+    writeLine(lineIndex(die, bank, row, col), accScratch_.data());
 }
 
 void
@@ -297,25 +490,20 @@ ParityEngine::fixViaD2(DieId die, BankId bank, RowId row, ColId col)
             const RowId rr{r};
             if (rr == row)
                 continue;
-            foldSrcs_.push_back(
-                linePtr(parity1_, parityIndex(rr, col).value()));
+            foldSrcs_.push_back(linePtr(ordinal(die, bank, rr, col)));
         }
-        xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-        std::memcpy(linePtr(parity1_, parityIndex(row, col).value()),
-                    accScratch_.data(), lb);
-        return;
+    } else {
+        for (u32 b = 0; b < geom_.banksPerChannel; ++b)
+            for (u32 r = 0; r < geom_.rowsPerBank; ++r) {
+                const BankId bb{b};
+                const RowId rr{r};
+                if (bb == bank && rr == row)
+                    continue;
+                foldSrcs_.push_back(linePtr(lineIndex(die, bb, rr, col)));
+            }
     }
-    for (u32 b = 0; b < geom_.banksPerChannel; ++b)
-        for (u32 r = 0; r < geom_.rowsPerBank; ++r) {
-            const BankId bb{b};
-            const RowId rr{r};
-            if (bb == bank && rr == row)
-                continue;
-            foldSrcs_.push_back(linePtr(data_, lineIndex(die, bb, rr, col)));
-        }
     xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-    std::memcpy(linePtr(data_, lineIndex(die, bank, row, col)),
-                accScratch_.data(), lb);
+    writeLine(ordinal(die, bank, row, col), accScratch_.data());
 }
 
 void
@@ -333,7 +521,7 @@ ParityEngine::fixViaD3(DieId die, BankId bank, RowId row, ColId col)
             const RowId rr{r};
             if (dd == die && rr == row)
                 continue;
-            foldSrcs_.push_back(linePtr(data_, lineIndex(dd, bank, rr, col)));
+            foldSrcs_.push_back(linePtr(lineIndex(dd, bank, rr, col)));
         }
     if (bank == BankId{0}) {
         // Bank position 0's group includes the parity unit's rows.
@@ -342,91 +530,52 @@ ParityEngine::fixViaD3(DieId die, BankId bank, RowId row, ColId col)
             if (die == parityDie() && rr == row)
                 continue;
             foldSrcs_.push_back(
-                linePtr(parity1_, parityIndex(rr, col).value()));
+                linePtr(ordinal(parityDie(), BankId{0}, rr, col)));
         }
     }
     xorFoldN(accScratch_.data(), foldSrcs_.data(), foldSrcs_.size(), lb);
-    u8 *dst = die == parityDie()
-                  ? linePtr(parity1_, parityIndex(row, col).value())
-                  : linePtr(data_, lineIndex(die, bank, row, col));
-    std::memcpy(dst, accScratch_.data(), lb);
+    writeLine(ordinal(die, bank, row, col), accScratch_.data());
 }
 
 u64
 ParityEngine::corruptLineCount() const
 {
-    u64 n = 0;
-    for (u64 l = 0; l < totalLines(); ++l)
-        if (lineCorrupt(l))
-            ++n;
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < geom_.linesPerRow(); ++c)
-            if (parityLineCorrupt(RowId{r}, ColId{c}))
-                ++n;
-    return n;
+    return static_cast<u64>(
+        std::count_if(dirty_.begin(), dirty_.end(),
+                      [&](u64 o) { return isCorrupt(o); }));
 }
 
 std::vector<ParityEngine::CorruptLine>
 ParityEngine::collectCorrupt() const
 {
-    const u32 cols = geom_.linesPerRow();
+    // Ordinal order is the canonical order: storage order puts data
+    // lines die, bank, row, col-major, and parity lines follow them.
+    std::vector<u64> ords;
+    for (u64 o : dirty_)
+        if (isCorrupt(o))
+            ords.push_back(o);
+    std::sort(ords.begin(), ords.end());
     std::vector<CorruptLine> corrupt;
-    for (u32 d = 0; d < dies_; ++d)
-        for (u32 b = 0; b < geom_.banksPerChannel; ++b)
-            for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-                for (u32 c = 0; c < cols; ++c) {
-                    const CorruptLine l{DieId{d}, BankId{b}, RowId{r},
-                                        ColId{c}};
-                    if (lineCorrupt(lineIndex(l.die, l.bank, l.row,
-                                              l.col)))
-                        corrupt.push_back(l);
-                }
-    for (u32 r = 0; r < geom_.rowsPerBank; ++r)
-        for (u32 c = 0; c < cols; ++c)
-            if (parityLineCorrupt(RowId{r}, ColId{c}))
-                corrupt.push_back(
-                    {parityDie(), BankId{0}, RowId{r}, ColId{c}});
+    corrupt.reserve(ords.size());
+    for (u64 o : ords)
+        corrupt.push_back(lineAt(o));
     return corrupt;
 }
 
-u32
-ParityEngine::peelDim(const CorruptLine &L,
-                      const std::vector<CorruptLine> &corrupt,
-                      u32 dims) const
+u64
+ParityEngine::groupKey(const CorruptLine &l, u32 dim) const
 {
-    // D1: only unknown (die, bank) unit in its (row, col) group? The
-    // parity unit (die dies_, bank 0) is one more group member.
-    u32 units = 0;
-    for (const auto &o : corrupt)
-        if (o.row == L.row && o.col == L.col &&
-            !(o.die == L.die && o.bank == L.bank))
-            ++units;
-    if (units == 0)
-        return 1;
-
-    if (dims >= 2) {
-        // D2: only unknown (bank, row) slice of its die at col?
-        u32 slices = 0;
-        for (const auto &o : corrupt)
-            if (o.die == L.die && o.col == L.col &&
-                !(o.bank == L.bank && o.row == L.row))
-                ++slices;
-        if (slices == 0)
-            return 2;
+    // The parity unit is die dies_ at bank 0: one more member of its
+    // (row, col) D1 group, its own D2 fold, and part of bank 0's D3.
+    const u64 cols = geom_.linesPerRow();
+    switch (dim) {
+      case 1:
+        return parityIndex(l.row, l.col).value();
+      case 2:
+        return l.die.value() * cols + l.col.value();
+      default:
+        return l.bank.value() * cols + l.col.value();
     }
-
-    if (dims >= 3) {
-        // D3: only unknown (die, row) slice of its bank position at
-        // col? Bank position 0 includes the parity unit.
-        u32 s3 = 0;
-        for (const auto &o : corrupt)
-            if (o.bank == L.bank && o.col == L.col &&
-                !(o.die == L.die && o.row == L.row))
-                ++s3;
-        if (s3 == 0)
-            return 3;
-    }
-    return 0;
 }
 
 void
@@ -445,7 +594,7 @@ ParityEngine::fixLine(const CorruptLine &L, u32 dim)
       default:
         panic("ParityEngine: bad fix dimension %u", dim);
     }
-    if (isCorrupt(L))
+    if (isCorrupt(ordinal(L)))
         panic("ParityEngine: reconstruction produced bad CRC");
 }
 
@@ -475,42 +624,31 @@ ParityEngine::groupReadCost(const CorruptLine &L, u32 dim) const
 bool
 ParityEngine::reconstruct(u32 dims)
 {
-    std::vector<CorruptLine> corrupt = collectCorrupt();
-
-    bool progress = true;
-    while (progress && !corrupt.empty()) {
-        progress = false;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            const u32 dim = peelDim(corrupt[i], corrupt, dims);
-            if (dim == 0)
-                continue;
-            fixLine(corrupt[i], dim);
-            corrupt.erase(corrupt.begin() + static_cast<long>(i));
-            progress = true;
-            break;
-        }
+    const std::vector<CorruptLine> corrupt = collectCorrupt();
+    Peel peel(corrupt.size(), dims, [&](std::size_t i, u32 d) {
+        return groupKey(corrupt[i], d);
+    });
+    for (std::size_t i; (i = peel.next()) != Peel::kNone;) {
+        fixLine(corrupt[i], peel.dim(i));
+        peel.remove(i);
     }
-
-    return corrupt.empty() && data_ == golden_ &&
-           parity1_ == goldenParity1_;
+    if (!peel.done())
+        return false;
+    return std::all_of(dirty_.begin(), dirty_.end(), [&](u64 o) {
+        return std::memcmp(linePtr(o), goldenPtr(o), geom_.lineBytes) == 0;
+    });
 }
 
 bool
 ParityEngine::peelable(u32 dims) const
 {
-    std::vector<CorruptLine> corrupt = collectCorrupt();
-    bool progress = true;
-    while (progress && !corrupt.empty()) {
-        progress = false;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            if (peelDim(corrupt[i], corrupt, dims) == 0)
-                continue;
-            corrupt.erase(corrupt.begin() + static_cast<long>(i));
-            progress = true;
-            break;
-        }
-    }
-    return corrupt.empty();
+    const std::vector<CorruptLine> corrupt = collectCorrupt();
+    Peel peel(corrupt.size(), dims, [&](std::size_t i, u32 d) {
+        return groupKey(corrupt[i], d);
+    });
+    for (std::size_t i; (i = peel.next()) != Peel::kNone;)
+        peel.remove(i);
+    return peel.done();
 }
 
 bool
@@ -518,7 +656,7 @@ ParityEngine::lineCorruptAt(DieId die, BankId bank, RowId row,
                             ColId col) const
 {
     checkCoord(die, bank, row, col);
-    return isCorrupt({die, bank, row, col});
+    return isCorrupt(ordinal(die, bank, row, col));
 }
 
 bool
@@ -526,15 +664,16 @@ ParityEngine::lineMatchesGolden(DieId die, BankId bank, RowId row,
                                 ColId col) const
 {
     checkCoord(die, bank, row, col);
-    const u32 lb = geom_.lineBytes;
-    if (die == parityDie()) {
-        const u64 idx = parityIndex(row, col).value();
-        return std::memcmp(linePtr(parity1_, idx),
-                           linePtr(goldenParity1_, idx), lb) == 0;
-    }
-    const u64 idx = lineIndex(die, bank, row, col);
-    return std::memcmp(linePtr(data_, idx), linePtr(golden_, idx), lb) ==
-           0;
+    const u64 o = ordinal(die, bank, row, col);
+    return !isDirty_[o] ||
+           std::memcmp(linePtr(o), goldenPtr(o), geom_.lineBytes) == 0;
+}
+
+std::span<const u8>
+ParityEngine::lineData(DieId die, BankId bank, RowId row, ColId col) const
+{
+    checkCoord(die, bank, row, col);
+    return {linePtr(ordinal(die, bank, row, col)), geom_.lineBytes};
 }
 
 ParityEngine::DemandFix
@@ -544,58 +683,45 @@ ParityEngine::correctLine(DieId die, BankId bank, RowId row, ColId col,
     checkCoord(die, bank, row, col);
     DemandFix fix;
     const CorruptLine target{die, bank, row, col};
-    if (!isCorrupt(target)) {
+    if (!isCorrupt(ordinal(target))) {
         fix.corrected = true;
         return fix;
     }
 
-    std::vector<CorruptLine> corrupt = collectCorrupt();
-    auto targetPending = [&] {
-        return std::find(corrupt.begin(), corrupt.end(), target) !=
-               corrupt.end();
-    };
+    const std::vector<CorruptLine> corrupt = collectCorrupt();
+    const auto t = static_cast<std::size_t>(
+        std::find(corrupt.begin(), corrupt.end(), target) - corrupt.begin());
+    Peel peel(corrupt.size(), dims, [&](std::size_t i, u32 d) {
+        return groupKey(corrupt[i], d);
+    });
 
-    bool progress = true;
-    while (progress && targetPending()) {
-        progress = false;
-        // Prefer solving the target directly; otherwise peel any
-        // solvable dependency and retry.
-        std::size_t pick = corrupt.size();
-        u32 pick_dim = 0;
-        for (std::size_t i = 0; i < corrupt.size(); ++i) {
-            const u32 dim = peelDim(corrupt[i], corrupt, dims);
-            if (dim == 0)
-                continue;
-            if (corrupt[i] == target) {
-                pick = i;
-                pick_dim = dim;
-                break;
-            }
-            if (pick == corrupt.size()) {
-                pick = i;
-                pick_dim = dim;
-            }
-        }
-        if (pick == corrupt.size())
+    // Prefer solving the target directly; otherwise peel the first
+    // solvable dependency in canonical order and retry.
+    while (peel.pending(t)) {
+        const std::size_t pick = peel.dim(t) != 0 ? t : peel.next();
+        if (pick == Peel::kNone)
             break;
-        fixLine(corrupt[pick], pick_dim);
-        fix.groupReads += groupReadCost(corrupt[pick], pick_dim);
+        const u32 dim = peel.dim(pick);
+        fixLine(corrupt[pick], dim);
+        fix.groupReads += groupReadCost(corrupt[pick], dim);
         ++fix.linesFixed;
-        if (corrupt[pick] == target)
-            fix.dimUsed = pick_dim;
-        corrupt.erase(corrupt.begin() + static_cast<long>(pick));
-        progress = true;
+        if (pick == t)
+            fix.dimUsed = dim;
+        peel.remove(pick);
     }
 
-    fix.corrected = !targetPending();
+    fix.corrected = !peel.pending(t);
     return fix;
 }
 
 void
 ParityEngine::restore()
 {
-    data_ = golden_;
-    parity1_ = goldenParity1_;
+    for (u64 o : dirty_) {
+        std::memcpy(linePtr(o), goldenPtr(o), geom_.lineBytes);
+        isDirty_[o] = 0;
+    }
+    dirty_.clear();
 }
 
 } // namespace citadel

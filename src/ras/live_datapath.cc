@@ -172,9 +172,8 @@ LiveRasDatapath::LiveRasDatapath(const SimConfig &cfg,
       poisoned_(opts.poisonMaxRuns), log_(opts.maxEvents)
 {
     const StackGeometry &g = cfg_.geom;
-    // Byte-true storage: data + golden + parity copies, per stack.
-    const u64 model_bytes = 2 * static_cast<u64>(g.stacks) * dies_ *
-                            g.banksPerChannel * g.rowsPerBank * g.rowBytes;
+    // Byte-true storage: one engine per stack.
+    const u64 model_bytes = g.stacks * ParityEngine::modelBytes(g);
     if (model_bytes > opts_.maxModelBytes)
         fatal("LiveRasDatapath: geometry needs %llu model bytes "
               "(> %llu); use a reduced geometry such as "

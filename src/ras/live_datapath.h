@@ -79,8 +79,9 @@ struct LiveRasOptions
 
     /**
      * Refuse geometries whose byte-true model would exceed this
-     * (storage is ~2x the modeled DRAM). Full HBM needs gigabytes;
-     * the live datapath is meant for reduced geometries.
+     * (stacks x ParityEngine::modelBytes(), a bit over 2x the modeled
+     * DRAM). Full HBM needs gigabytes; the live datapath is meant for
+     * reduced geometries.
      */
     u64 maxModelBytes = 256ull << 20;
 

@@ -56,8 +56,9 @@ SoakCampaign::SoakCampaign(const SoakConfig &cfg)
     if (cfg_.ras.scrubCycles == 0) {
         const double scrub_h = std::max(cfg_.faults.scrubHours, 1e-6);
         cfg_.ras.scrubCycles =
-            std::max<u64>(1, static_cast<u64>(scrub_h *
-                                              cfg_.cyclesPerHour));
+            std::max<u64>(1, static_cast<u64>(
+                                 scrub_h *
+                                 static_cast<double>(cfg_.cyclesPerHour)));
     }
     probeEvery_ = std::max<u64>(1, cfg_.ras.scrubCycles /
                                        cfg_.probesPerEpoch);
@@ -94,7 +95,7 @@ SoakCampaign::~SoakCampaign() = default;
 u64
 SoakCampaign::cycleOf(double hours) const
 {
-    return static_cast<u64>(hours * cfg_.cyclesPerHour);
+    return static_cast<u64>(hours * static_cast<double>(cfg_.cyclesPerHour));
 }
 
 LineAddr

@@ -49,7 +49,7 @@ TEST(HashRing, DifferentSeedsGiveDifferentLayouts)
     HashRing b(8, 64, 2);
     u32 same = 0;
     for (u64 key = 0; key < 200; ++key)
-        same += a.primary(key) == b.primary(key) ? 1 : 0;
+        same += a.primary(key) == b.primary(key) ? 1u : 0u;
     EXPECT_LT(same, 200u);
 }
 
@@ -412,8 +412,8 @@ TEST(TrafficModel, ZipfSkewsKeyPopularityTowardRankZero)
     u32 hotUniform = 0;
     for (u64 i = 0; i < 1000; ++i) {
         const double u = (static_cast<double>(i) + 0.5) / 1000.0;
-        hotSkewed += m.keyAt(0, u) == 0 ? 1 : 0;   // theta = 1.2
-        hotUniform += m.keyAt(10, u) == 0 ? 1 : 0; // theta = 0
+        hotSkewed += m.keyAt(0, u) == 0 ? 1u : 0u;   // theta = 1.2
+        hotUniform += m.keyAt(10, u) == 0 ? 1u : 0u; // theta = 0
     }
     // Uniform gives rank 0 ~1% of the mass; theta=1.2 concentrates a
     // large multiple of that on the hottest key.
@@ -635,6 +635,10 @@ TEST(FleetDeterminism, FingerprintInvariantAcrossTransportBatchThreads)
             ref = res;
             haveRef = true;
             EXPECT_GT(res.totals.opsAcked, 0u);
+            // Golden pin: the device model, the serving path and the
+            // fault schedule all feed this value, so a refactor of any
+            // of them must leave it unchanged.
+            EXPECT_EQ(res.fingerprint, 0x5808c7fbd9001d2aull);
             continue;
         }
         EXPECT_EQ(res.fingerprint, ref.fingerprint);
@@ -675,6 +679,7 @@ TEST(FleetDeterminism, TraceReplayIsTransportInvariant)
             ref = res;
             haveRef = true;
             EXPECT_GT(res.totals.opsAcked, 0u);
+            EXPECT_EQ(res.fingerprint, 0x2c03dd517e3690c8ull); // Pinned.
             continue;
         }
         EXPECT_EQ(res.fingerprint, ref.fingerprint);

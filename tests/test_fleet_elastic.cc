@@ -58,8 +58,9 @@ TEST(ServerLifecycle, OnlyWarmingReentersServing)
             const bool allowed = serverTransitionAllowed(from, to);
             SCOPED_TRACE(std::string(serverStateName(from)) + " -> " +
                          serverStateName(to));
-            if (from == to)
+            if (from == to) {
                 EXPECT_FALSE(allowed); // Self-loops are not edges.
+            }
             if (!serverStateServing(from) && serverStateServing(to) &&
                 allowed) {
                 EXPECT_EQ(from, ServerState::Warming);

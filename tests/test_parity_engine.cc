@@ -9,6 +9,7 @@
 
 #include "citadel/parity_engine.h"
 #include "citadel/three_d_parity.h"
+#include "common/serialize.h"
 #include "fault_builders.h"
 #include "faults/injector.h"
 
@@ -99,6 +100,51 @@ TEST_F(ParityEngineTest, RestoreResets)
     EXPECT_GT(eng.corruptLineCount(), 0u);
     eng.restore();
     EXPECT_EQ(eng.corruptLineCount(), 0u);
+}
+
+u64
+imageHash(const ParityEngine &eng, const StackGeometry &g)
+{
+    u64 h = 0xCBF29CE484222325ull;
+    for (u32 d = 0; d <= eng.parityDie().value(); ++d)
+        for (u32 b = 0; b < (DieId{d} == eng.parityDie()
+                                 ? 1
+                                 : g.banksPerChannel);
+             ++b)
+            for (u32 r = 0; r < g.rowsPerBank; ++r)
+                for (u32 c = 0; c < g.linesPerRow(); ++c) {
+                    const auto ln =
+                        eng.lineData(DieId{d}, BankId{b}, RowId{r}, ColId{c});
+                    h = fnv1a(ln.data(), ln.size(), h);
+                }
+    return h;
+}
+
+TEST_F(ParityEngineTest, ImageAfterFixedFaultSetIsPinned)
+{
+    // FNV-1a over every line (data lines, then the parity unit) of the
+    // pristine image, a fixed fault set's image and the image after one
+    // demand correction. The values are the original full-sweep
+    // engine's; the fleet and soak fingerprints downstream depend on
+    // them.
+    ParityEngine eng(geom_, 7);
+    EXPECT_EQ(imageHash(eng, geom_), 0x8292e14d122a4dd9ull);
+    eng.corrupt({rowFault(0, 1, 0, 9), wordFault(0, 1, 0, 9, 3, 2),
+                 bitFault(0, 0, 1, 3, 2, 100), bitFault(0, 0, 0, 3, 2, 5),
+                 columnFault(0, 2, 1, 1),
+                 parityBitFault(geom_, 0, 5, 1, 17)});
+    EXPECT_EQ(eng.corruptLineCount(), 71u);
+    EXPECT_EQ(imageHash(eng, geom_), 0x2d9bde0f8c565ddbull);
+
+    // The target's D1 and D2 groups hold its neighbour bit fault; D3
+    // rebuilds it.
+    const ParityEngine::DemandFix fix =
+        eng.correctLine(DieId{0}, BankId{1}, RowId{3}, ColId{2});
+    EXPECT_TRUE(fix.corrected);
+    EXPECT_EQ(fix.dimUsed, 3u);
+    EXPECT_EQ(fix.groupReads, 191u);
+    EXPECT_EQ(fix.linesFixed, 1u);
+    EXPECT_EQ(imageHash(eng, geom_), 0xe9a8e9672780decbull);
 }
 
 TEST_F(ParityEngineTest, RejectsMultiStackGeometry)

@@ -307,6 +307,28 @@ TEST_F(LiveRasTest, RefusesFullSizeGeometry)
     EXPECT_DEATH({ LiveRasDatapath dp(big); }, "model bytes");
 }
 
+TEST_F(LiveRasTest, ModelByteCapCountsEveryEngineAllocation)
+{
+    // The cap covers all of an engine's storage, not just the data
+    // images: D1 parity and its golden copy, CRCs, the dirty-line
+    // index and the SRAM folds push it past twice the data bytes.
+    const StackGeometry &g = cfg_.geom;
+    const u64 data = static_cast<u64>(g.channelsPerStack + 1) *
+                     g.banksPerChannel * g.rowsPerBank * g.rowBytes;
+    const u64 need = g.stacks * ParityEngine::modelBytes(g);
+    EXPECT_GT(need, 2 * data + 2 * static_cast<u64>(g.rowsPerBank) *
+                                   g.rowBytes);
+
+    LiveRasOptions exact;
+    exact.maxModelBytes = need;
+    LiveRasDatapath dp(cfg_, exact);
+    EXPECT_EQ(dp.counters().demandReads, 0u);
+
+    LiveRasOptions under;
+    under.maxModelBytes = need - 1; // The geometry is one byte over.
+    EXPECT_DEATH({ LiveRasDatapath over(cfg_, under); }, "model bytes");
+}
+
 TEST_F(LiveRasTest, RejectsWildStackFault)
 {
     LiveRasDatapath dp(cfg_);

@@ -114,6 +114,8 @@ TEST(SoakTest, FingerprintIsIdenticalAcrossThreadCounts)
     four.threads = 4;
 
     const u64 fp1 = runToEndFingerprint(one);
+    // Golden pin: every shard's bit-true datapath feeds this value.
+    EXPECT_EQ(fp1, 0x299a162c9006ce17ull);
     EXPECT_EQ(fp1, runToEndFingerprint(two));
     EXPECT_EQ(fp1, runToEndFingerprint(four));
 }

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -73,6 +74,57 @@ TEST(ThreadedSmoke, SharedConstMapPerThreadEngines)
     EXPECT_FALSE(failed.load());
     EXPECT_EQ(corrected.load(), kThreads);
     EXPECT_GT(coord_checksum.load(), 0u);
+}
+
+TEST(ThreadedSmoke, SharedEngineConstQueriesAreRaceFree)
+{
+    // The differential check asks peelable() of an engine other threads
+    // may be querying too: const queries keep no scratch in the object.
+    const StackGeometry g = StackGeometry::tiny();
+    ParityEngine engine(g);
+    Fault f;
+    f.cls = FaultClass::Column;
+    f.stack = DimSpec::exact(0);
+    f.channel = DimSpec::exact(1);
+    f.bank = DimSpec::exact(0);
+    f.row = DimSpec::wild();
+    f.col = DimSpec::exact(3);
+    f.bit = DimSpec::wild();
+    Fault bit = f;
+    bit.cls = FaultClass::Bit;
+    bit.channel = DimSpec::exact(0);
+    bit.row = DimSpec::exact(7);
+    bit.bit = DimSpec::exact(9);
+    engine.corrupt({f, bit});
+
+    const ParityEngine &shared = engine;
+    const DieId die{1};
+    const BankId bank{0};
+    const RowId row{7};
+    const ColId col{3};
+    auto verdicts = [&] {
+        const u64 n = shared.corruptLineCount();
+        const bool p1 = shared.peelable(1);
+        const bool p3 = shared.peelable(3);
+        const bool hit = shared.lineCorruptAt(die, bank, row, col);
+        return std::tuple(n, p1, p3, hit);
+    };
+    const auto want = verdicts();
+
+    std::atomic<bool> mismatch{false};
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < 4; ++t) {
+        pool.emplace_back([&]() {
+            for (int i = 0; i < 50; ++i)
+                if (verdicts() != want)
+                    mismatch = true;
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    EXPECT_FALSE(mismatch.load());
+    EXPECT_EQ(want, std::tuple(g.rowsPerBank + 1ull, false, true, true));
 }
 
 TEST(ThreadedSmoke, ConcurrentAddressStreamsAreIndependent)
