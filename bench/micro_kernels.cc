@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark micro-kernels for the hot paths of the library:
- * CRC-32, Reed-Solomon encode/decode, fault-lifetime sampling, Monte
- * Carlo trials, 3DP bit-true rebuild/correction and LLC operations. These
- * quantify the cost of the machinery behind the figure benches.
+ * CRC-32, Reed-Solomon encode/decode, fault-lifetime sampling, the
+ * Zipf key draw, Monte Carlo trials, 3DP bit-true rebuild/correction
+ * and LLC operations. These quantify the cost of the machinery behind
+ * the figure benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -172,6 +173,23 @@ BM_SampleLifetime(benchmark::State &state)
         benchmark::DoNotOptimize(inj.sampleLifetime(rng));
 }
 BENCHMARK(BM_SampleLifetime);
+
+/** One trace-replay key draw: a counter-hashed unit double through
+ *  the guided Zipf rank search (65,536 keys, theta 0.6, the serving
+ *  campaign's shape). */
+void
+BM_ZipfRank(benchmark::State &state)
+{
+    const ZipfCdf zipf(65536, 0.6);
+    u64 counter = 0;
+    for (auto _ : state) {
+        const double u =
+            static_cast<double>(mix64(counter++) >> 11) * 0x1.0p-53;
+        benchmark::DoNotOptimize(zipf.rank(u));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfRank);
 
 void
 BM_MonteCarloTrialCitadel(benchmark::State &state)

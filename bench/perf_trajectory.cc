@@ -47,6 +47,13 @@
  * warning while still emitting the fields, so CI does not gate on
  * oversubscription noise.
  *
+ * The JSON (schema v9) opens with a `machine` block — CPU model,
+ * hardware threads, the xorFold and CRC-32 dispatch paths, build type
+ * and compiler — so a reader can tell whether two snapshots are
+ * comparable. Sections 6 and 7 also print their campaign fingerprints
+ * (and the section 7 checkpoint's size and FNV-1a), which any change
+ * to the serving path must leave unchanged.
+ *
  * Knobs: CITADEL_TRIALS (default 20000), CITADEL_INSNS (default
  * 100000), CITADEL_THREADS, CITADEL_BENCH_JSON (output path, default
  * ./BENCH_mc.json).
@@ -55,7 +62,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "bench_util.h"
@@ -85,6 +94,82 @@ identical(const McResult &a, const McResult &b)
            a.failuresByYear == b.failuresByYear &&
            a.failuresByClass == b.failuresByClass &&
            a.meanFaultsPerTrial == b.meanFaultsPerTrial;
+}
+
+/** The first "model name" of /proc/cpuinfo, or "unknown" where there
+ *  is none (non-Linux hosts, some ARM kernels). */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const std::size_t start =
+            line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? "unknown"
+                                          : line.substr(start);
+    }
+    return "unknown";
+}
+
+/** The compiler that built this binary, e.g. "gcc 12.2.0". */
+std::string
+compilerName()
+{
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/** The CMake build type this binary was configured with ("none" for
+ *  an untyped single-config build). */
+std::string
+buildType()
+{
+#ifdef CITADEL_BUILD_TYPE
+    const std::string type = CITADEL_BUILD_TYPE;
+    return type.empty() ? "none" : type;
+#else
+    return "unknown";
+#endif
+}
+
+/** `text` as a JSON string literal (quotes, backslashes and control
+ *  characters escaped). */
+std::string
+jsonString(const std::string &text)
+{
+    std::ostringstream os;
+    os << '"';
+    for (const char c : text) {
+        if (c == '"' || c == '\\')
+            os << '\\' << c;
+        else if (static_cast<unsigned char>(c) < 0x20)
+            os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
+               << static_cast<int>(c) << std::dec;
+        else
+            os << c;
+    }
+    os << '"';
+    return os.str();
+}
+
+/** A fingerprint as the 16-digit hex the docs quote. */
+std::string
+hex64(u64 v)
+{
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0') << v;
+    return os.str();
 }
 
 /** Throughput of one CRC kernel over `buf`, in MB/s. */
@@ -528,7 +613,11 @@ main()
     fleet_table.print(std::cout);
     std::cout << "latency p50/p99: " << fl_batched.res.p50LatencyTicks
               << "/" << fl_batched.res.p99LatencyTicks
-              << " virtual ticks\n";
+              << " virtual ticks | fingerprint "
+              << hex64(fl_unbatched.res.fingerprint) << "\n";
+    std::cout << "client op table: " << fl_batched.res.clientOpTableSlots
+              << " slots for a peak of " << fl_batched.res.peakInflightOps
+              << " ops in flight\n";
 
     std::cout << "\n";
 
@@ -557,7 +646,8 @@ main()
         all_serving = all_serving && fleet::serverStateServing(r.state);
 
     fleet::FleetCampaign el_first(el_cfg);
-    el_first.advanceTo(97);
+    constexpr u64 kResumeTick = 97;
+    el_first.advanceTo(kResumeTick);
     ByteSink el_sink;
     el_first.saveState(el_sink);
     fleet::FleetCampaign el_second(el_cfg);
@@ -566,6 +656,7 @@ main()
     const fleet::FleetResult el_resumed = el_second.finish();
     const bool resume_match =
         el_resumed.fingerprint == el_run.res.fingerprint;
+    const u64 el_checkpoint_fnv = fnv1a(el_sink.bytes());
     const bool elastic_ok = resume_match &&
                             fleet::auditClean(el_run.res) &&
                             el_tot.serverJoins >= 1 && all_serving;
@@ -589,6 +680,10 @@ main()
         {"resume fingerprint", "-", "-",
          resume_match ? "match" : "NO — BUG"});
     elastic_table.print(std::cout);
+    std::cout << "elastic fingerprint " << hex64(el_run.res.fingerprint)
+              << " | resumed at tick " << kResumeTick << " from a "
+              << el_sink.bytes().size() << "-byte checkpoint (FNV-1a "
+              << hex64(el_checkpoint_fnv) << ")\n";
 
     // ---- JSON emission ---------------------------------------------
     const char *path_env = std::getenv("CITADEL_BENCH_JSON");
@@ -596,7 +691,17 @@ main()
         path_env && *path_env ? path_env : "BENCH_mc.json";
     std::ofstream json(path);
     json << "{\n"
-         << "  \"schema\": \"citadel-perf-trajectory-v8\",\n"
+         << "  \"schema\": \"citadel-perf-trajectory-v9\",\n"
+         << "  \"machine\": {\n"
+         << "    \"cpu_model\": " << jsonString(cpuModel()) << ",\n"
+         << "    \"nproc\": " << hw_threads << ",\n"
+         << "    \"xor_dispatch_path\": \"" << xorKernelOps().path
+         << "\",\n"
+         << "    \"crc_dispatch_path\": \"" << Crc32::activePathName()
+         << "\",\n"
+         << "    \"build_type\": " << jsonString(buildType()) << ",\n"
+         << "    \"compiler\": " << jsonString(compilerName()) << "\n"
+         << "  },\n"
          << "  \"trials\": " << n << ",\n"
          << "  \"threads\": " << nthreads << ",\n"
          << "  \"hardware_concurrency\": " << hw_threads << ",\n"
@@ -686,6 +791,12 @@ main()
          << fl_batched.res.p50LatencyTicks << ",\n"
          << "    \"p99_latency_ticks\": "
          << fl_batched.res.p99LatencyTicks << ",\n"
+         << "    \"fingerprint\": \"" << hex64(fl_unbatched.res.fingerprint)
+         << "\",\n"
+         << "    \"peak_inflight_ops\": " << fl_batched.res.peakInflightOps
+         << ",\n"
+         << "    \"client_op_table_slots\": "
+         << fl_batched.res.clientOpTableSlots << ",\n"
          << "    \"fingerprint_invariant\": "
          << (fleet_identical ? "true" : "false") << "\n  },\n"
          << "  \"fleet_elasticity\": {\n"
@@ -698,6 +809,11 @@ main()
          << ",\n"
          << "    \"all_servers_serving\": "
          << (all_serving ? "true" : "false") << ",\n"
+         << "    \"fingerprint\": \"" << hex64(el_run.res.fingerprint)
+         << "\",\n"
+         << "    \"checkpoint_bytes\": " << el_sink.bytes().size() << ",\n"
+         << "    \"checkpoint_fnv1a\": \"" << hex64(el_checkpoint_fnv)
+         << "\",\n"
          << "    \"resume_fingerprint_match\": "
          << (resume_match ? "true" : "false") << "\n  }\n"
          << "}\n";

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -172,6 +173,9 @@ ZipfCdf::ZipfCdf(u64 n, double theta) : n_(n), theta_(theta)
         throw std::invalid_argument("ZipfCdf: theta must be >= 0");
     if (theta == 0.0)
         return; // uniform fast path, no table
+    if (n > (u64{1} << 32))
+        throw std::invalid_argument(
+            "ZipfCdf: n must be <= 2^32 (32-bit guide entries)");
     cdf_.resize(n);
     double total = 0.0;
     for (u64 r = 0; r < n; ++r) {
@@ -181,18 +185,40 @@ ZipfCdf::ZipfCdf(u64 n, double theta) : n_(n), theta_(theta)
     for (u64 r = 0; r < n; ++r)
         cdf_[r] /= total;
     cdf_[n - 1] = 1.0; // guard against rounding shortfall
+
+    // guide_[j] = first rank whose CDF exceeds j/m (the last rank when
+    // none does, as for j = m); j/m is exact since m is a power of two.
+    const u64 m = std::bit_ceil(n);
+    buckets_ = static_cast<double>(m);
+    const double step = 1.0 / buckets_;
+    guide_.resize(m + 1);
+    u64 r = 0;
+    for (u64 j = 0; j < m; ++j) {
+        const double bound = static_cast<double>(j) * step;
+        while (r < n - 1 && !(cdf_[r] > bound))
+            ++r;
+        guide_[j] = static_cast<u32>(r);
+    }
+    guide_[m] = static_cast<u32>(n - 1);
 }
 
 u64
 ZipfCdf::rank(double u) const
 {
-    assert(u >= 0.0 && u < 1.0);
+    // Out-of-range samples clamp instead of indexing past the tables.
+    if (!(u > 0.0))
+        return 0;
+    if (u >= 1.0)
+        return n_ - 1;
     if (cdf_.empty()) {
         const u64 r = static_cast<u64>(u * static_cast<double>(n_));
         return r < n_ ? r : n_ - 1;
     }
-    // First rank whose CDF exceeds u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
+    // First rank whose CDF exceeds u. It lies in [guide_[j],
+    // guide_[j + 1]]: the CDF exceeds j/m <= u no earlier than
+    // guide_[j], and exceeds (j+1)/m > u by guide_[j + 1].
+    const u64 j = static_cast<u64>(u * buckets_);
+    std::size_t lo = guide_[j], hi = guide_[j + 1];
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
         if (cdf_[mid] > u)

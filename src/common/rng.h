@@ -118,26 +118,41 @@ class Rng
  * popularity the fleet traffic model replays (theta ~0.99 matches the
  * YCSB-style hot-key skew; theta = 0 is exactly uniform and takes a
  * CDF-free fast path). Sampling maps a unit double — derived from a
- * counter hash, never from generator state — through a binary search
- * of the CDF, so it composes with the fleet's order-independent
+ * counter hash, never from generator state — to the first rank whose
+ * CDF exceeds it, so it composes with the fleet's order-independent
  * determinism: rank(u) is a pure function.
+ *
+ * The search is guided (Chen & Asau's indexed search): m = bit_ceil(n)
+ * buckets, guide_[j] = first rank whose CDF exceeds j/m. A draw looks
+ * up bucket floor(u*m) and binary-searches only between its two guide
+ * entries — about one CDF probe on average instead of log2(n). m is a
+ * power of two, so u*m and j/m are exact and the result is the same
+ * rank a full binary search of the CDF returns, for every u.
  */
 class ZipfCdf
 {
   public:
-    /** Build the CDF for `n` ranks with exponent `theta` >= 0. */
+    /** Build the CDF for `n` ranks with exponent `theta` >= 0. Guide
+     *  entries are 32-bit: theta > 0 requires n <= 2^32. */
     ZipfCdf(u64 n, double theta);
 
-    /** Rank for a unit sample u in [0, 1): lower ranks are hotter. */
+    /** Rank for a unit sample u in [0, 1): lower ranks are hotter.
+     *  Out of range, u >= 1 gives the last rank and u <= 0 or NaN the
+     *  first. */
     u64 rank(double u) const;
 
     u64 size() const { return n_; }
     double theta() const { return theta_; }
 
+    /** The normalized CDF rank() searches (empty when theta == 0). */
+    const std::vector<double> &cdf() const { return cdf_; }
+
   private:
     u64 n_;
     double theta_;
     std::vector<double> cdf_; ///< Empty when theta == 0 (uniform).
+    std::vector<u32> guide_;  ///< m + 1 entries; empty when uniform.
+    double buckets_ = 0.0;    ///< m, as the double u is scaled by.
 };
 
 } // namespace citadel

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -20,12 +21,11 @@ FleetClient::FleetClient(const RetryPolicy &policy, u32 replication,
         fatal("FleetClient: replication must be >= 1");
     if (ackQuorum_ == 0 || ackQuorum_ > replication_)
         fatal("FleetClient: ackQuorum must be in [1, replication]");
-    if (tuning.opWindow == 0 || tuning.keySpace == 0)
-        fatal("FleetClient: ClientTuning opWindow and keySpace must "
-              "both be positive");
+    if (tuning.keySpace == 0)
+        fatal("FleetClient: ClientTuning keySpace must be positive");
     hist_.assign(policy_.opDeadline + 2, 0);
-    slots_.resize(std::bit_ceil(tuning.opWindow));
-    slotMask_ = slots_.size() - 1;
+    table_.resize(kInitialOpSlots);
+    tableMask_ = table_.size() - 1;
     // Every pending wakeup lies within one op lifetime of the drain
     // cursor, so this horizon makes bucket aliasing impossible (and
     // wakeAt checks anyway).
@@ -56,38 +56,112 @@ FleetClient::valueFor(u64 key, u64 version, u64 salt)
 FleetClient::Op &
 FleetClient::insertOp(u64 op_id, const Op &op)
 {
-    OpSlot &slot = slots_[op_id & slotMask_];
-    if (slot.live) {
-        if (slot.id == op_id)
-            fatal("FleetClient: duplicate operation id %llu",
-                  static_cast<unsigned long long>(op_id));
-        fatal("FleetClient: live op id span exceeds the op window "
-              "(%zu slots): op %llu collides with live op %llu",
-              slots_.size(), static_cast<unsigned long long>(op_id),
-              static_cast<unsigned long long>(slot.id));
+    if (findSlot(op_id) != kNoSlot)
+        fatal("FleetClient: duplicate operation id %llu",
+              static_cast<unsigned long long>(op_id));
+    if (2 * (live_ + 1) > table_.size())
+        growTable();
+    u32 idx;
+    if (freeOps_.empty()) {
+        idx = static_cast<u32>(ops_.size());
+        ops_.push_back(op);
+    } else {
+        idx = freeOps_.back();
+        freeOps_.pop_back();
+        ops_[idx] = op;
     }
-    slot.id = op_id;
-    slot.live = true;
-    slot.op = op;
-    ++live_;
-    return slot.op;
+    placeSlot(Slot{op_id, idx});
+    peakLive_ = std::max(peakLive_, ++live_);
+    return ops_[idx];
+}
+
+u64
+FleetClient::probeDistance(u64 i) const
+{
+    return (i - (table_[i].id & tableMask_)) & tableMask_;
+}
+
+void
+FleetClient::placeSlot(Slot s)
+{
+    // Robin Hood: an entry farther from its home slot takes the place
+    // of one nearer to its own, so along every probe run the distances
+    // rise by at most one per slot. That lets findSlot() stop early and
+    // eraseOp() stop at the first entry sitting in its home slot —
+    // which, with dense ids, is almost always the next one.
+    u64 d = 0;
+    for (u64 i = s.id & tableMask_;; i = (i + 1) & tableMask_, ++d) {
+        if (table_[i].op == kNoOp) {
+            table_[i] = s;
+            return;
+        }
+        const u64 di = probeDistance(i);
+        if (di < d) {
+            std::swap(s, table_[i]);
+            d = di;
+        }
+    }
+}
+
+void
+FleetClient::growTable()
+{
+    const std::vector<Slot> old =
+        std::exchange(table_, std::vector<Slot>(table_.size() * 2));
+    tableMask_ = table_.size() - 1;
+    for (const Slot &s : old)
+        if (s.op != kNoOp)
+            placeSlot(s);
+}
+
+u64
+FleetClient::findSlot(u64 op_id) const
+{
+    u64 d = 0;
+    for (u64 i = op_id & tableMask_; table_[i].op != kNoOp;
+         i = (i + 1) & tableMask_, ++d) {
+        if (table_[i].id == op_id)
+            return i;
+        if (probeDistance(i) < d)
+            break; // op_id would have displaced this entry.
+    }
+    return kNoSlot;
 }
 
 FleetClient::Op *
 FleetClient::findOp(u64 op_id)
 {
-    OpSlot &slot = slots_[op_id & slotMask_];
-    return (slot.live && slot.id == op_id) ? &slot.op : nullptr;
+    const u64 i = findSlot(op_id);
+    return i == kNoSlot ? nullptr : &ops_[table_[i].op];
 }
 
 void
 FleetClient::eraseOp(u64 op_id)
 {
-    OpSlot &slot = slots_[op_id & slotMask_];
-    if (slot.live && slot.id == op_id) {
-        slot.live = false;
-        --live_;
+    u64 hole = findSlot(op_id);
+    if (hole == kNoSlot)
+        return;
+    freeOps_.push_back(table_[hole].op);
+    --live_;
+    // Backward-shift delete: pull the rest of the probe run back one
+    // slot, up to an empty slot or an entry already at home, so the
+    // table needs no tombstones and keeps the Robin Hood order.
+    for (u64 j = (hole + 1) & tableMask_;
+         table_[j].op != kNoOp && probeDistance(j) != 0;
+         j = (j + 1) & tableMask_) {
+        table_[hole] = table_[j];
+        hole = j;
     }
+    table_[hole] = Slot{};
+}
+
+void
+FleetClient::clearOps()
+{
+    std::fill(table_.begin(), table_.end(), Slot{});
+    ops_.clear();
+    freeOps_.clear();
+    live_ = 0;
 }
 
 u64 &
@@ -390,9 +464,7 @@ void
 FleetClient::finish()
 {
     counters_.opsUnresolved += inflight();
-    for (OpSlot &slot : slots_)
-        slot.live = false;
-    live_ = 0;
+    clearOps();
     for (auto &bucket : wheel_)
         bucket.clear();
 }
@@ -450,12 +522,17 @@ FleetClient::saveState(ByteSink &sink) const
         sink.putU64(aw.version);
         sink.putU64(aw.value);
     }
-    sink.putU64(static_cast<u64>(live_));
-    for (const OpSlot &slot : slots_) {
-        if (!slot.live)
-            continue;
-        sink.putU64(slot.id);
-        putOp(sink, slot.op);
+    std::vector<Slot> live;
+    live.reserve(live_);
+    for (const Slot &s : table_)
+        if (s.op != kNoOp)
+            live.push_back(s);
+    std::sort(live.begin(), live.end(),
+              [](const Slot &a, const Slot &b) { return a.id < b.id; });
+    sink.putU64(static_cast<u64>(live.size()));
+    for (const Slot &s : live) {
+        sink.putU64(s.id);
+        putOp(sink, ops_[s.op]);
     }
     sink.putU64(lastProcessed_);
     // Buckets are restored by wheel index: together with
@@ -487,22 +564,12 @@ FleetClient::loadState(ByteSource &src)
               "in the acked array",
               static_cast<unsigned long long>(ackedCount_),
               static_cast<unsigned long long>(acked));
-    for (OpSlot &slot : slots_)
-        slot.live = false;
-    live_ = 0;
+    clearOps();
+    peakLive_ = 0;
     const u64 nl = src.getCount(sizeof(u64));
     for (u64 i = 0; i < nl; ++i) {
         const u64 id = src.getU64();
-        OpSlot &slot = slots_[id & slotMask_];
-        if (slot.live)
-            fatal("FleetClient::loadState: live ops %llu and %llu "
-                  "alias one slot of the op window (%zu slots)",
-                  static_cast<unsigned long long>(slot.id),
-                  static_cast<unsigned long long>(id), slots_.size());
-        slot.id = id;
-        slot.live = true;
-        slot.op = getOp(src);
-        ++live_;
+        insertOp(id, getOp(src)); // A repeated live id is fatal.
     }
     lastProcessed_ = src.getU64();
     for (auto &bucket : wheel_) {

@@ -16,15 +16,17 @@
  * serial phase — and never reads a real clock: every method takes the
  * virtual `now`.
  *
- * State is flat and sized up front (ClientTuning): a power-of-two
- * op-slot table indexed by operation id, a timing wheel of per-tick
- * wakeup buckets (timeouts, backoff expiries, hedges, deadlines), and
- * dense per-key version and acked arrays — no ordered-container
- * traffic and no steady-state allocation on the serving hot path. The
- * wheel drains buckets in (tick, insertion) order and the dense arrays
- * iterate ascending keys, so processing order, and with it the
- * campaign fingerprint (acked set + latency histogram included), is
- * deterministic.
+ * State is flat: an op table sized to the live set (an id-keyed
+ * open-addressing index into a pool of op records, doubling whenever
+ * the live ops would fill half of it, so its memory follows the
+ * live-op high-water mark), a timing wheel of per-tick wakeup buckets
+ * (timeouts, backoff expiries, hedges, deadlines), and dense per-key
+ * version and acked arrays sized by ClientTuning — no
+ * ordered-container traffic and no steady-state allocation on the
+ * serving hot path. The wheel drains buckets in (tick, insertion)
+ * order and the dense arrays iterate ascending keys, so processing
+ * order, and with it the campaign fingerprint (acked set + latency
+ * histogram included), is deterministic.
  */
 
 #ifndef CITADEL_FLEET_CLIENT_H
@@ -39,16 +41,12 @@ namespace citadel {
 namespace fleet {
 
 /**
- * Client sizing; both fields must be positive:
- *  - opWindow: max span of live operation ids at any instant (ids are
- *    dense, so arrivals/tick x op lifetime bounds it; exceeding the
- *    window is fatal, never silent).
- *  - keySpace: keys are in [0, keySpace) (dense version/acked arrays);
- *    a write outside it is fatal.
+ * Client sizing: keys are in [0, keySpace) (dense version/acked
+ * arrays); keySpace must be positive, and a write outside it is fatal.
+ * The op table needs no sizing: it grows with the live-op count.
  */
 struct ClientTuning
 {
-    u64 opWindow = 0;
     u64 keySpace = 0;
 };
 
@@ -85,6 +83,12 @@ class FleetClient
     // wakeup wheel spans one op lifetime past the last drained tick,
     // so starting an op far past the last tick() is fatal rather than
     // a silently aliased wakeup.
+    //
+    // Op ids: any u64, unique among live ops (starting an op whose id
+    // is still live is fatal); ids may be arbitrarily far apart. An
+    // op's record stays at a fixed address while other ops complete,
+    // but ops must not be started from inside the placement or send
+    // callbacks (a start may grow the op pool).
 
     /** Issue a read of `key` as operation `op` at virtual time `now`. */
     void startRead(u64 op, u64 key, u64 now)
@@ -107,6 +111,17 @@ class FleetClient
 
     /** Operations still in flight. */
     std::size_t inflight() const { return live_; }
+
+    /** Most operations in flight at once since construction (or the
+     *  last loadState(), which counts the restored ops). */
+    std::size_t peakInflight() const { return peakLive_; }
+
+    /** Op-table slots at construction (a power of two). */
+    static constexpr std::size_t kInitialOpSlots = 64;
+
+    /** Op-table slots now: max(kInitialOpSlots, bit_ceil(2 x the
+     *  live-op high-water mark)) — sized by the live set alone. */
+    std::size_t opTableSlots() const { return table_.size(); }
 
     const FleetCounters &counters() const { return counters_; }
 
@@ -145,9 +160,9 @@ class FleetClient
      * buckets, equal-tick FIFO order preserved), per-key versions, the
      * acked set, the latency histogram, and counters. loadState()
      * requires a client constructed with the identical (policy,
-     * replication, quorum, salt, tuning); a stream whose live ops
-     * alias one slot or whose acked count disagrees with its acked
-     * array is fatal.
+     * replication, quorum, salt, tuning). Live ops are written in
+     * ascending id order; a stream that carries one live id twice or
+     * whose acked count disagrees with its acked array is fatal.
      */
     void saveState(ByteSink &sink) const CITADEL_REQUIRES(kSerialPhase);
     void loadState(ByteSource &src) CITADEL_REQUIRES(kSerialPhase);
@@ -171,21 +186,28 @@ class FleetClient
         u32 acks = 0;
     };
 
-    /** One op slot, generation-free: the live flag plus the full id
-     *  disambiguate (ids never repeat in a campaign). */
-    struct OpSlot
+    static constexpr u32 kNoOp = ~0u;
+    static constexpr u64 kNoSlot = ~0ull;
+
+    /** One op-table slot: a live op id and its record in ops_, or
+     *  empty (op == kNoOp). */
+    struct Slot
     {
         u64 id = 0;
-        bool live = false;
-        Op op;
+        u32 op = kNoOp;
     };
 
     static void putOp(ByteSink &sink, const Op &op);
     static Op getOp(ByteSource &src);
 
     Op &insertOp(u64 op_id, const Op &op);
+    u64 probeDistance(u64 slot) const;
+    void placeSlot(Slot s);
+    u64 findSlot(u64 op_id) const;
     Op *findOp(u64 op_id);
     void eraseOp(u64 op_id);
+    void growTable();
+    void clearOps();
     u64 &nextVersionOf(u64 key);
     void recordAck(u64 key, u64 version, u64 value);
 
@@ -205,9 +227,15 @@ class FleetClient
     PlacementFn placementFn_;
     SendFn sendFn_;
 
-    std::vector<OpSlot> slots_; ///< Power-of-two, indexed by id & mask.
-    u64 slotMask_ = 0;
+    // Op table: home slot id & mask, linear probing in Robin Hood
+    // order, backward-shift erase; it doubles before the live ops
+    // would exceed half of it.
+    std::vector<Slot> table_;
+    u64 tableMask_ = 0;
+    std::vector<Op> ops_;      ///< Op records; erase never moves one.
+    std::vector<u32> freeOps_; ///< ops_ entries free for reuse.
     std::size_t live_ = 0;
+    std::size_t peakLive_ = 0;
     std::vector<std::vector<u64>> wheel_; ///< Per-tick wakeup buckets.
     u64 wheelMask_ = 0;
     u64 lastProcessed_ = ~0ull; ///< Last tick fully drained.

@@ -58,19 +58,26 @@ Coordinator::enablePlacementCache(u64 keySpace)
     if (keySpace == 0)
         fatal("Coordinator: placement cache needs a positive key "
               "space");
+    if (replication_ > 255)
+        fatal("Coordinator: placement cache holds at most 255 "
+              "replicas per key (replication %u)",
+              replication_);
     cacheStamp_.assign(keySpace, 0);
-    cache_.assign(keySpace, {});
+    cacheLen_.assign(keySpace, 0);
+    cacheSets_.assign(keySpace * replication_, kNoServer);
 }
 
 void
 Coordinator::placement(u64 key, std::vector<ServerIdx> &out) const
 {
     if (key < cacheStamp_.size()) {
+        ServerIdx *set = cacheSets_.data() + key * replication_;
         if (cacheStamp_[key] == ring_.epoch()) {
-            out = cache_[key];
+            out.assign(set, set + cacheLen_[key]);
         } else {
             ring_.placement(key, replication_, out);
-            cache_[key] = out;
+            std::copy(out.begin(), out.end(), set);
+            cacheLen_[key] = static_cast<u8>(out.size());
             cacheStamp_[key] = ring_.epoch();
         }
     } else {

@@ -232,9 +232,11 @@ class Coordinator
     // sets stamped with the ring epoch of the walk that produced them;
     // any membership change bumps the epoch and lazily invalidates
     // everything. Overrides are applied after the cache, so the cache
-    // stays a pure ring memo.
+    // stays a pure ring memo. Flat: key k's set is the first
+    // cacheLen_[k] entries of cacheSets_[k * replication_, ...).
     mutable std::vector<u64> cacheStamp_;
-    mutable std::vector<std::vector<ServerIdx>> cache_;
+    mutable std::vector<u8> cacheLen_;
+    mutable std::vector<ServerIdx> cacheSets_;
 
     std::vector<ServerIdx> scratch_;
     std::vector<std::pair<u64, u64>> hotScratch_; ///< (count, key).

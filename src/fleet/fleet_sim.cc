@@ -37,8 +37,8 @@ coin(u64 h, double p)
 }
 
 /** Validate `cfg` and parse its trace spec — the one parse the
- *  campaign shares between its tick count, client sizing and
- *  arrivals. Inactive when the spec is empty. */
+ *  campaign shares between its tick count and arrivals. Inactive when
+ *  the spec is empty. */
 TrafficModel
 parseTraffic(const FleetConfig &cfg)
 {
@@ -51,27 +51,6 @@ parseTraffic(const FleetConfig &cfg)
         model.prepare(cfg.keySpace);
     }
     return model;
-}
-
-/**
- * Client sizing: operation ids are dense, an op lives at most
- * opDeadline+1 ticks (the deadline wakeup completes it), so the live
- * id span is bounded by the peak arrival rate times the op lifetime.
- */
-ClientTuning
-clientTuning(const FleetConfig &cfg, const TrafficModel &traffic)
-{
-    u64 maxRate = cfg.arrivalsPerTick;
-    if (traffic.active()) {
-        maxRate = 0;
-        for (const TrafficPhase &phase : traffic.phases())
-            maxRate = std::max<u64>(
-                maxRate, u64(phase.rate) * phase.burstMult);
-    }
-    ClientTuning t;
-    t.opWindow = maxRate * (cfg.retry.opDeadline + 4) + 8;
-    t.keySpace = cfg.keySpace;
-    return t;
 }
 
 } // namespace
@@ -168,7 +147,7 @@ FleetCampaign::FleetCampaign(const FleetConfig &cfg)
     : traffic_(parseTraffic(cfg)), cfg_(normalized(cfg, traffic_)),
       injector_(cfg_.chaos, cfg_.servers, cfg_.ticks, cfg_.seed),
       client_(cfg_.retry, cfg_.replication, cfg_.ackQuorum,
-              mix64(cfg_.seed ^ 0x5A17ull), clientTuning(cfg_, traffic_)),
+              mix64(cfg_.seed ^ 0x5A17ull), ClientTuning{cfg_.keySpace}),
       transport_(makeTransport(cfg_.transport, cfg_.servers)),
       shards_(cfg_.servers)
 {
@@ -657,6 +636,9 @@ FleetCampaign::audit(FleetCounters totals)
             }
         }
     }
+
+    res.peakInflightOps = client_.peakInflight();
+    res.clientOpTableSlots = client_.opTableSlots();
 
     res.servers.reserve(cfg_.servers);
     for (u32 s = 0; s < cfg_.servers; ++s) {

@@ -136,6 +136,12 @@ struct FleetResult
     u64 p50LatencyTicks = 0;
     u64 p99LatencyTicks = 0;
 
+    /** Client op-table sizing (host-side report, not in the
+     *  fingerprint): the most ops ever in flight at once, and the
+     *  table slots that grew to hold them. */
+    u64 peakInflightOps = 0;
+    u64 clientOpTableSlots = 0;
+
     /** Order-independent digest of totals, ring, acked set + latency
      *  histogram, and every server's (kv + device) state: equal
      *  fingerprints mean equal campaigns, whatever the thread count,

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fleet/coordinator.h"
 #include "fleet/fleet_sim.h"
 
 using namespace citadel;
@@ -98,6 +100,59 @@ TEST(ServerLifecycleDeath, IllegalEdgesAreFatal)
     // Fenced -> Up without warming: the exact bypass the table exists
     // to make impossible.
     EXPECT_DEATH(srv.admit(0), "admit outside Warming");
+}
+
+// ---- Placement cache -----------------------------------------------
+
+// The flat placement cache is a pure memo of the ring walk: every key
+// in and beyond the cached key space resolves exactly as on an
+// uncached coordinator, before and after evictions bump the ring
+// epoch — including replica sets shorter than the replication factor
+// once too few servers remain.
+TEST(PlacementCache, MatchesUncachedAcrossEvictions)
+{
+    FleetConfig cfg = elasticConfig();
+    cfg.replication = 3;
+    ServerConfig scfg = cfg.server;
+    scfg.keySpace = cfg.keySpace;
+    std::vector<std::unique_ptr<StackServer>> fleet;
+    for (u32 s = 0; s < cfg.servers; ++s)
+        fleet.push_back(std::make_unique<StackServer>(
+            s, scfg, /*seed=*/1, /*campaign_ticks=*/64));
+    Coordinator cached(cfg.coord, cfg.replication, /*seed=*/7, fleet);
+    Coordinator plain(cfg.coord, cfg.replication, /*seed=*/7, fleet);
+    cached.enablePlacementCache(cfg.keySpace);
+
+    ThreadRoleGrant serial(kSerialPhase);
+    std::vector<ServerIdx> a;
+    std::vector<ServerIdx> b;
+    const auto expectSame = [&](u64 wantSize) {
+        for (u64 key = 0; key < cfg.keySpace + 8; ++key) {
+            cached.placement(key, a);
+            plain.placement(key, b);
+            ASSERT_EQ(a, b) << "key " << key;
+            ASSERT_EQ(a.size(), wantSize) << "key " << key;
+        }
+    };
+    expectSame(3); // Fills the cache.
+    expectSame(3); // Served from it.
+
+    fleet[1]->crash();
+    fleet[2]->crash();
+    FleetCounters ca;
+    FleetCounters cb;
+    const u64 evictBy =
+        cfg.coord.healthEvery * (cfg.coord.failThreshold + 1);
+    for (u64 t = 1; t <= evictBy; ++t) {
+        cached.tick(t, ca);
+        plain.tick(t, cb);
+    }
+    ASSERT_FALSE(cached.ring().contains(1));
+    ASSERT_FALSE(cached.ring().contains(2));
+    // Two servers left: every set is short. Re-walked, then served
+    // from the cache.
+    expectSame(2);
+    expectSame(2);
 }
 
 // ---- Join / rejoin e2e ---------------------------------------------

@@ -77,9 +77,8 @@ TEST(RetryPolicy, HugeAttemptOrdinalDoesNotOverflow)
 
 // ---- Scripted client harness ---------------------------------------
 
-/** Client sizing of every harness: live op ids may span 16, keys are
- *  in [0, 64). */
-constexpr ClientTuning kTuning{16, 64};
+/** Client sizing of every harness: keys are in [0, 64). */
+constexpr ClientTuning kTuning{64};
 
 /** Captures every request the client emits, with placement scripted
  *  by the test. */
@@ -332,14 +331,60 @@ TEST(FleetClient, FinishCountsUnresolved)
 
 // ---- Sizing guards -------------------------------------------------
 
-TEST(FleetClientDeath, OpIdSpanBeyondWindowIsFatal)
+TEST(FleetClient, OpIdsFarApartAreLiveTogether)
+{
+    // The op table is keyed by id, not by a window of recent ids: ops
+    // 2^20 apart share a home slot and are both live and both complete.
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    const u64 first = 1;
+    const u64 second = first + (u64{1} << 20);
+    h.client.startRead(first, 50, 0);
+    h.client.startRead(second, 51, 0);
+    ASSERT_EQ(h.client.inflight(), 2u);
+    ASSERT_EQ(h.sent.size(), 2u);
+    EXPECT_EQ(h.sent[1].first.op, second);
+    h.client.onResponse(h.okFor(1), 1);
+    EXPECT_EQ(h.client.inflight(), 1u);
+    h.client.onResponse(h.okFor(0), 2);
+    EXPECT_EQ(h.client.inflight(), 0u);
+    EXPECT_EQ(h.client.counters().opsAcked, 2u);
+    EXPECT_EQ(h.client.counters().duplicatesSuppressed, 0u);
+}
+
+TEST(FleetClient, OpTableGrowsWithTheLiveSet)
+{
+    // The table starts small, doubles before it is half full, and keeps
+    // every live op reachable across growth and erasure.
+    Harness h(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    EXPECT_EQ(h.client.opTableSlots(), FleetClient::kInitialOpSlots);
+    const u64 n = 3 * FleetClient::kInitialOpSlots;
+    for (u64 i = 0; i < n; ++i)
+        h.client.startRead(i * 4096 + 7, i % 64, 0); // Same home slot.
+    EXPECT_EQ(h.client.inflight(), n);
+    EXPECT_GE(h.client.opTableSlots(), 2 * n);
+    // Complete every other op (in reverse, so erasure shifts probe
+    // runs around the survivors), then the rest.
+    for (u64 i = n; i-- > 0;)
+        if (i % 2 == 0)
+            h.client.onResponse(h.okFor(i), 1);
+    EXPECT_EQ(h.client.inflight(), n / 2);
+    for (u64 i = 0; i < n; ++i)
+        if (i % 2 == 1)
+            h.client.onResponse(h.okFor(i), 2);
+    EXPECT_EQ(h.client.inflight(), 0u);
+    EXPECT_EQ(h.client.counters().opsAcked, n);
+    EXPECT_EQ(h.client.counters().duplicatesSuppressed, 0u);
+}
+
+TEST(FleetClientDeath, StartingALiveOpIdIsFatal)
 {
     Harness h(testPolicy());
     ThreadRoleGrant serial(kSerialPhase);
-    h.client.startRead(1, 50, 0);
-    // Op 1 is still live; op 1 + 16 needs its slot.
-    EXPECT_DEATH(h.client.startRead(1 + kTuning.opWindow, 50, 0),
-                 "exceeds the op window");
+    h.client.startRead(5, 50, 0);
+    EXPECT_DEATH(h.client.startWrite(5, 51, 0),
+                 "duplicate operation id 5");
 }
 
 TEST(FleetClientDeath, WriteOutsideKeySpaceIsFatal)
@@ -384,7 +429,7 @@ rewriteFirstU64(std::vector<u8> &bytes, u64 from, u64 to)
     std::copy(rep.begin(), rep.end(), at);
 }
 
-TEST(FleetClientCheckpointDeath, AliasedLiveOpsAreRejected)
+TEST(FleetClientCheckpointDeath, RepeatedLiveIdIsRejected)
 {
     Harness a(testPolicy());
     ThreadRoleGrant serial(kSerialPhase);
@@ -396,13 +441,81 @@ TEST(FleetClientCheckpointDeath, AliasedLiveOpsAreRejected)
     a.client.saveState(sink);
 
     // The live-op list precedes the wheel, so the first occurrence of
-    // the second id is its op record. Rewritten to first + window, it
-    // lands on the first op's slot.
+    // the second id is its op record. Rewritten to the first id, the
+    // stream carries one live id twice.
     std::vector<u8> bytes = sink.bytes();
-    rewriteFirstU64(bytes, second, first + kTuning.opWindow);
+    rewriteFirstU64(bytes, second, first);
     Harness b(testPolicy());
     ByteSource src(bytes);
-    EXPECT_DEATH(b.client.loadState(src), "alias one slot");
+    EXPECT_DEATH(b.client.loadState(src), "duplicate operation id");
+}
+
+TEST(FleetClientCheckpoint, LiveSetBeyondInitialTableRoundTrips)
+{
+    // More live ops than the initial table holds: the restored client
+    // grows its table while loading, and from there on both clients
+    // finish identically (same fingerprint, same re-saved bytes).
+    const u64 n = 2 * FleetClient::kInitialOpSlots + 3;
+    const u64 base = 0x5A5A0000; // Ids whose encodings occur once.
+    Harness a(testPolicy());
+    ThreadRoleGrant serial(kSerialPhase);
+    for (u64 i = 0; i < n; ++i) {
+        if (i % 3 == 0)
+            a.client.startWrite(base + i * 9, i % 64, 0);
+        else
+            a.client.startRead(base + i * 9, i % 64, 0);
+    }
+    a.client.tick(0);
+    ASSERT_EQ(a.client.inflight(), n);
+    ByteSink sink;
+    a.client.saveState(sink);
+
+    // Live ops are written in ascending id, although their home slots
+    // (id & mask) wrap around the table.
+    const std::vector<u8> &saved = sink.bytes();
+    auto prev = saved.begin();
+    for (u64 i = 0; i < n; ++i) {
+        const std::vector<u8> pat = u64Bytes(base + i * 9);
+        const auto at =
+            std::search(saved.begin(), saved.end(), pat.begin(), pat.end());
+        ASSERT_NE(at, saved.end());
+        ASSERT_TRUE(i == 0 || at > prev) << "op " << i;
+        prev = at;
+    }
+
+    const std::vector<u8> bytes = sink.bytes();
+    Harness b(testPolicy());
+    ByteSource src(bytes);
+    b.client.loadState(src);
+    EXPECT_EQ(src.remaining(), 0u);
+    EXPECT_EQ(b.client.inflight(), n);
+    ByteSink again;
+    b.client.saveState(again);
+    EXPECT_EQ(again.bytes(), bytes);
+
+    // Answer every request sent so far on both sides, then let the
+    // remaining ops retry and time out.
+    const std::size_t sentAtSave = a.sent.size();
+    for (std::size_t i = 0; i < sentAtSave; i += 2) {
+        a.client.onResponse(a.okFor(i), 1);
+        b.client.onResponse(a.okFor(i), 1);
+    }
+    for (u64 t = 1; t <= 400; ++t) {
+        a.client.tick(t);
+        b.client.tick(t);
+    }
+    a.client.finish();
+    b.client.finish();
+    EXPECT_EQ(a.sent.size() - sentAtSave, b.sent.size());
+    ByteSink fa, fb;
+    a.client.serialize(fa);
+    b.client.serialize(fb);
+    EXPECT_EQ(fa.bytes(), fb.bytes());
+    ByteSink ca, cb;
+    a.client.counters().serialize(ca);
+    b.client.counters().serialize(cb);
+    EXPECT_EQ(ca.bytes(), cb.bytes());
+    EXPECT_GT(a.client.counters().opsAcked, 0u);
 }
 
 TEST(FleetClientCheckpointDeath, AckedCountMismatchIsRejected)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit and statistical tests for the xoshiro256** RNG and its samplers.
+ * Unit and statistical tests for the xoshiro256** RNG and its samplers,
+ * and the guided Zipf rank search against a plain binary search.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -205,6 +207,106 @@ TEST(Rng, SplitProducesIndependentStream)
         if (a.next() == child.next())
             ++same;
     EXPECT_LT(same, 2);
+}
+
+// ---- ZipfCdf -------------------------------------------------------
+
+/** The oracle: the first rank whose CDF exceeds u, by plain binary
+ *  search of the whole CDF (the last rank if none does); with no CDF
+ *  (theta == 0), the uniform rank floor(u * n). */
+u64
+oracleRank(const ZipfCdf &z, double u)
+{
+    const std::vector<double> &cdf = z.cdf();
+    if (cdf.empty())
+        return std::min(static_cast<u64>(u * static_cast<double>(z.size())),
+                        z.size() - 1);
+    std::size_t lo = 0, hi = cdf.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (cdf[mid] > u)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+TEST(ZipfCdf, GuidedRankMatchesBinarySearch)
+{
+    const u64 sizes[] = {1, 2, 3, 1000, 4096, 65536, 65537};
+    const double thetas[] = {0.0, 0.3, 0.6, 0.99, 1.2, 4.0};
+    // 2^15 counter-hash draws per (n, theta): 1.4M draws in all.
+    const u64 draws = u64{1} << 15;
+    for (const u64 n : sizes) {
+        for (const double theta : thetas) {
+            const ZipfCdf z(n, theta);
+            ASSERT_EQ(z.cdf().size(), theta == 0.0 ? 0 : n);
+            u64 checked = 0, mismatches = 0;
+            double firstBad = -1.0;
+            const auto check = [&](double u) {
+                ++checked;
+                if (z.rank(u) != oracleRank(z, u) && mismatches++ == 0)
+                    firstBad = u;
+            };
+            // Every guide-bucket boundary j/m and its neighbours.
+            const u64 m = std::bit_ceil(n);
+            for (u64 j = 0; j < m; ++j) {
+                const double b =
+                    static_cast<double>(j) / static_cast<double>(m);
+                check(b);
+                if (j > 0)
+                    check(std::nextafter(b, 0.0));
+                check(std::nextafter(b, 1.0));
+            }
+            check(0.0);
+            check(std::nextafter(1.0, 0.0));
+            for (u64 i = 0; i < draws; ++i)
+                check(static_cast<double>(
+                          mix64(i ^ (n * 0x9E37ull)) >> 11) *
+                      0x1.0p-53);
+            EXPECT_EQ(mismatches, 0u)
+                << "n " << n << " theta " << theta << ": " << mismatches
+                << " of " << checked << " draws differ, first at u = "
+                << firstBad;
+        }
+    }
+}
+
+TEST(ZipfCdf, RanksStayInRangeAndFavorLowRanks)
+{
+    const ZipfCdf z(65536, 0.6);
+    EXPECT_EQ(z.rank(0.0), 0u);
+    EXPECT_EQ(z.rank(std::nextafter(1.0, 0.0)), 65535u);
+    u64 low = 0;
+    for (u64 i = 0; i < 4096; ++i) {
+        const u64 r =
+            z.rank(static_cast<double>(mix64(i) >> 11) * 0x1.0p-53);
+        ASSERT_LT(r, 65536u);
+        low += r < 6554; // The hottest tenth of the ranks.
+    }
+    EXPECT_GT(low, 4096u / 10);
+}
+
+TEST(ZipfCdf, OutOfRangeSamplesClamp)
+{
+    for (const double theta : {0.0, 0.6}) {
+        const ZipfCdf z(1000, theta);
+        EXPECT_EQ(z.rank(1.0), 999u);
+        EXPECT_EQ(z.rank(7.5), 999u);
+        EXPECT_EQ(z.rank(-0.25), 0u);
+        EXPECT_EQ(z.rank(std::nan("")), 0u);
+    }
+}
+
+TEST(ZipfCdf, RejectsSizesTheGuideCannotIndex)
+{
+    EXPECT_THROW(ZipfCdf((u64{1} << 32) + 1, 0.6), std::invalid_argument);
+    EXPECT_THROW(ZipfCdf(0, 0.6), std::invalid_argument);
+    EXPECT_THROW(ZipfCdf(16, -1.0), std::invalid_argument);
+    // theta == 0 builds no table, so any positive n is accepted.
+    const ZipfCdf uniform(u64{1} << 40, 0.0);
+    EXPECT_EQ(uniform.rank(0.5), u64{1} << 39);
 }
 
 } // namespace
